@@ -20,17 +20,26 @@
 //   - PDCKIT_PERF_SERVER_XL=1 adds a 1M-connection event-driven row
 //     (skipped by default: the connect phase alone takes tens of seconds).
 //
+// A fabric micro-row runs first, with no server: the net::Network
+// dispatcher alone. It reports the dispatcher's saturated delivery rate
+// (64 connections x 20k 16-byte chunks from two sender threads) and how
+// late an idle fabric delivers one stream chunk past its configured
+// latency_ms (p50/p99 over 2000 sequential sends).
+//
 // JSON via PDCKIT_BENCH_JSON (obs::BenchReport); compared across commits
 // by bench/compare.py against BENCH_baseline.json.
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/loadgen.hpp"
 #include "net/network.hpp"
 #include "net/server.hpp"
 #include "obs/bench_report.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -93,6 +102,78 @@ std::string ckey(std::size_t connections) {
   return "c" + std::to_string(connections);
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+struct Link {
+  StreamSocket client;
+  StreamSocket server;
+};
+
+std::vector<Link> open_links(Network& net, Listener& listener,
+                             std::size_t count) {
+  std::vector<Link> links;
+  for (std::size_t i = 0; i < count; ++i) {
+    StreamSocket client = net.connect(0, listener.local()).value();
+    links.push_back({std::move(client), listener.accept().value()});
+  }
+  return links;
+}
+
+/// Deliveries per second with the dispatcher never idle: two threads send
+/// as fast as send() returns, and the clock stops when the last byte of
+/// every connection has landed.
+double fabric_events_per_s() {
+  constexpr std::size_t kConnections = 64;
+  constexpr std::size_t kChunks = 20000;
+  constexpr std::size_t kChunkBytes = 16;
+  constexpr std::size_t kSenders = 2;
+  Network net(2, NetConfig{});
+  auto listener = net.listen(1, 7);
+  std::vector<Link> links = open_links(net, *listener, kConnections);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> senders;
+  for (std::size_t s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&links, s] {
+      const Bytes chunk(kChunkBytes);
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        for (std::size_t i = s; i < links.size(); i += kSenders) {
+          (void)links[i].client.send(chunk);
+        }
+      }
+    });
+  }
+  for (Link& link : links) {
+    (void)link.server.recv_exact(kChunks * kChunkBytes);
+  }
+  const double elapsed = seconds_since(start);
+  for (auto& sender : senders) sender.join();
+  return static_cast<double>(kConnections * kChunks) / elapsed;
+}
+
+/// Microseconds from send() until a blocked recv returns the chunk, on an
+/// idle fabric, one chunk at a time.
+std::vector<double> fabric_one_way_us(const NetConfig& config) {
+  constexpr int kSamples = 2000;
+  Network net(2, config);
+  auto listener = net.listen(1, 7);
+  std::vector<Link> links = open_links(net, *listener, 1);
+  const Bytes chunk(16);
+  std::vector<double> samples;
+  samples.reserve(kSamples);
+  for (int i = 0; i < kSamples; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    (void)links[0].client.send(chunk);
+    (void)links[0].server.recv_exact(chunk.size());
+    samples.push_back(seconds_since(start) * 1e6);
+  }
+  return samples;
+}
+
 }  // namespace
 
 int main() {
@@ -100,6 +181,29 @@ int main() {
   std::cout << "=== PERF-SERVER: threading models under open-loop load ===\n"
             << "(echo server, " << kWorkers
             << " workers, open-loop latency from scheduled send time)\n\n";
+
+  {
+    const NetConfig config;
+    const double configured_us = config.latency_ms * 1e3;
+    const std::vector<double> one_way = fabric_one_way_us(config);
+    const double p50 = pdc::support::percentile(one_way, 50);
+    const double p99 = pdc::support::percentile(one_way, 99);
+    const double events_per_s = fabric_events_per_s();
+    report.add_metric("fabric.events.per_s", events_per_s);
+    report.add_metric("fabric.late.p50.us", p50 - configured_us);
+    report.add_metric("fabric.late.p99.us", p99 - configured_us);
+    TextTable fabric("Fabric dispatcher (no server)");
+    fabric.set_header({"saturated events/s", "configured us", "one-way p50 us",
+                       "one-way p99 us", "late p50 us", "late p99 us"});
+    fabric.add_row({TextTable::num(events_per_s / 1e6, 2) + "M",
+                    TextTable::num(configured_us, 0), TextTable::num(p50, 0),
+                    TextTable::num(p99, 0),
+                    TextTable::num(p50 - configured_us, 0),
+                    TextTable::num(p99 - configured_us, 0)});
+    fabric.render(std::cout);
+    report.add_table(fabric);
+    std::cout << '\n';
+  }
 
   TextTable table("Threading models x connection count");
   table.set_header({"conns", "model", "sent", "answered", "rps", "p50 us",

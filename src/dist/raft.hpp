@@ -91,7 +91,7 @@ class Reader {
   std::int32_t i32() { return static_cast<std::int32_t>(static_cast<std::uint32_t>(u64())); }
   std::vector<std::uint8_t> bytes() {
     const std::uint64_t n = u64();
-    PDC_CHECK_MSG(pos_ + n <= buf_.size(), "truncated raft message");
+    PDC_CHECK_MSG(n <= buf_.size() - pos_, "truncated raft message");
     std::vector<std::uint8_t> v(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
@@ -99,7 +99,7 @@ class Reader {
   }
   std::string str() {
     const std::uint64_t n = u64();
-    PDC_CHECK_MSG(pos_ + n <= buf_.size(), "truncated raft message");
+    PDC_CHECK_MSG(n <= buf_.size() - pos_, "truncated raft message");
     std::string s(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
                   buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;

@@ -342,14 +342,19 @@ void Network::schedule(std::function<void()> deliver, bool impaired) {
       if (config_.jitter_ms > 0.0) jitter = rng_.uniform(0.0, config_.jitter_ms);
     }
     const double due = now() + (config_.latency_ms + jitter) / 1e3;
-    for (std::size_t c = 0; c < copies; ++c) {
-      events_.push(Event{due, next_seq_++, deliver});
-    }
+    for (std::size_t c = 1; c < copies; ++c) push_event(due, deliver);
+    push_event(due, std::move(deliver));
   }
   wake_.notify_all();
 }
 
+void Network::push_event(double due, std::function<void()> deliver) {
+  events_.push_back(Event{due, next_seq_++, std::move(deliver)});
+  std::push_heap(events_.begin(), events_.end(), EventOrder{});
+}
+
 void Network::dispatcher_loop() {
+  std::vector<std::function<void()>> batch;
   std::unique_lock lock(mutex_);
   for (;;) {
     if (stopping_) return;
@@ -357,16 +362,28 @@ void Network::dispatcher_loop() {
       wake_.wait(lock, [&] { return stopping_ || !events_.empty(); });
       continue;
     }
-    const double due = events_.top().due;
+    const double due = events_.front().due;
     const double current = now();
     if (current < due) {
       wake_.wait_for(lock, std::chrono::duration<double>(due - current));
       continue;  // re-check: new earlier events or shutdown
     }
-    auto deliver = events_.top().deliver;
-    events_.pop();
+    // Take every event already due in one lock hold. Anything sent while
+    // the batch runs is due at or after `current` and has a larger seq, so
+    // the global (due, seq) delivery order is the one-at-a-time order.
+    do {
+      std::pop_heap(events_.begin(), events_.end(), EventOrder{});
+      batch.push_back(std::move(events_.back().deliver));
+      events_.pop_back();
+    } while (!events_.empty() && events_.front().due <= current);
     lock.unlock();
-    deliver();  // outside the lock: delivery takes per-socket locks
+    // Outside the lock: delivery takes per-socket locks (and, for datagrams
+    // and SYNs, the net mutex itself). Shutdown cuts the batch short.
+    for (auto& deliver : batch) {
+      if (stopping_.load(std::memory_order_relaxed)) break;
+      deliver();
+    }
+    batch.clear();  // payloads are freed outside the lock too
     lock.lock();
   }
 }
@@ -532,49 +549,51 @@ double Network::stream_impairment_ms() {
 void Network::send_stream_bytes(
     const std::shared_ptr<StreamSocket::ConnState>& state, bool from_a,
     Bytes data) {
+  // Built before taking the lock: the closure owns the payload, and its
+  // allocation need not lengthen the dispatcher's critical section.
+  std::function<void()> deliver = [state, from_a, data = std::move(data)] {
+    auto& half = from_a ? state->a_to_b : state->b_to_a;
+    {
+      std::scoped_lock half_lock(half.mutex);
+      if (half.closed) return;
+      half.buffer.insert(half.buffer.end(), data.begin(), data.end());
+      signal_watch(half.watch);
+    }
+    half.arrived.notify_all();
+  };
   {
     std::scoped_lock lock(mutex_);
     const double extra_ms = stream_impairment_ms();
     // FIFO clamp: a chunk delayed less than its predecessor would overtake
-    // it in the priority queue; pinning each due time at or after the
+    // it in the event heap; pinning each due time at or after the
     // previous one keeps the byte stream in order under any impairment.
     double& last_due = from_a ? state->a_to_b_due : state->b_to_a_due;
     const double due =
         std::max(now() + (config_.latency_ms + extra_ms) / 1e3, last_due);
     last_due = due;
-    events_.push(Event{due, next_seq_++, [state, from_a,
-                                          data = std::move(data)] {
-                         auto& half = from_a ? state->a_to_b : state->b_to_a;
-                         {
-                           std::scoped_lock half_lock(half.mutex);
-                           if (half.closed) return;
-                           half.buffer.insert(half.buffer.end(), data.begin(),
-                                              data.end());
-                           signal_watch(half.watch);
-                         }
-                         half.arrived.notify_all();
-                       }});
+    push_event(due, std::move(deliver));
   }
   wake_.notify_all();
 }
 
 void Network::close_stream_half(
     const std::shared_ptr<StreamSocket::ConnState>& state, bool from_a) {
+  std::function<void()> deliver = [state, from_a] {
+    auto& half = from_a ? state->a_to_b : state->b_to_a;
+    {
+      std::scoped_lock half_lock(half.mutex);
+      half.closed = true;
+      signal_watch(half.watch);
+    }
+    half.arrived.notify_all();
+  };
   {
     std::scoped_lock lock(mutex_);
     // Same clamp as data: the FIN must not overtake bytes still in flight.
     double& last_due = from_a ? state->a_to_b_due : state->b_to_a_due;
     const double due = std::max(now() + config_.latency_ms / 1e3, last_due);
     last_due = due;
-    events_.push(Event{due, next_seq_++, [state, from_a] {
-                         auto& half = from_a ? state->a_to_b : state->b_to_a;
-                         {
-                           std::scoped_lock half_lock(half.mutex);
-                           half.closed = true;
-                           signal_watch(half.watch);
-                         }
-                         half.arrived.notify_all();
-                       }});
+    push_event(due, std::move(deliver));
   }
   wake_.notify_all();
 }

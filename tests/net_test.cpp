@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "net/arq.hpp"
@@ -13,6 +15,7 @@
 #include "net/network.hpp"
 #include "net/server.hpp"
 #include "support/rng.hpp"
+#include "testkit/fault_injector.hpp"
 
 namespace {
 
@@ -566,6 +569,130 @@ TEST(Stream, ImpairedStreamStaysReliableAndOrdered) {
     expect += "m" + std::to_string(i) + ";";
   }
   EXPECT_EQ(all, expect.substr(0, all.size()));
+}
+
+// --------------------------------------------------------------- dispatcher
+
+TEST(Dispatcher, InjectorPenaltiesKeepLongStreamByteExact) {
+  NetConfig config = fast_net();
+  config.impair_streams = true;
+  Network net(2, config);
+  pdc::testkit::FaultConfig faults;
+  faults.drop = 0.2;
+  faults.reorder = 0.2;
+  faults.reorder_ms = 0.5;
+  faults.jitter_ms = 0.1;
+  faults.seed = 7;
+  net.set_fault_injector(std::make_shared<pdc::testkit::FaultInjector>(faults));
+  auto listener = net.listen(1, 5);
+  auto client = net.connect(0, Address{1, 5});
+  ASSERT_TRUE(client.is_ok());
+  StreamSocket server = std::move(listener->accept()).value();
+  // Penalized chunks pin every later chunk to their due time, so runs of
+  // chunks share one due time and leave the heap in one batch.
+  constexpr std::size_t kChunks = 4000;
+  constexpr std::size_t kChunk = 16;
+  const Bytes data = make_data(kChunks * kChunk, 9);
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    const auto first = data.begin() + static_cast<std::ptrdiff_t>(i * kChunk);
+    ASSERT_TRUE(client.value()
+                    .send(Bytes(first, first + static_cast<std::ptrdiff_t>(kChunk)))
+                    .is_ok());
+  }
+  auto got = server.recv_exact(data.size());
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value(), data);
+}
+
+TEST(Dispatcher, LaterSentEarlierDueEventWakesASleepingDispatcher) {
+  Network net(2, fast_net());
+  auto listener = net.listen(1, 5);
+  auto client = net.connect(0, Address{1, 5});
+  ASSERT_TRUE(client.is_ok());
+  StreamSocket server = std::move(listener->accept()).value();
+  auto tx = net.open_datagram(0, 100);
+  auto rx = net.open_datagram(1, 100);
+  pdc::testkit::FaultConfig faults;
+  faults.delay_ms = 300.0;  // datagrams only: streams are not impaired
+  net.set_fault_injector(std::make_shared<pdc::testkit::FaultInjector>(faults));
+
+  tx->send_to(rx->local(), to_bytes("late"));  // dispatcher sleeps ~300 ms
+  std::this_thread::sleep_for(5ms);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.value().send(to_bytes("early")).is_ok());
+  auto got = server.recv_exact(5);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(to_string(got.value()), "early");
+  EXPECT_LT(elapsed, 150ms);
+  auto late = rx->recv_for(2000ms);
+  ASSERT_TRUE(late.is_ok());
+  EXPECT_EQ(to_string(late.value().payload), "late");
+}
+
+TEST(Dispatcher, DestructionWithFarEventsJoinsPromptlyWithoutDelivering) {
+  NetConfig config;
+  config.latency_ms = 500.0;
+  auto net = std::make_unique<Network>(2, config);
+  auto listener = net->listen(1, 9);
+  std::atomic<int> delivered{0};
+  for (int i = 0; i < 64; ++i) {
+    net->connect_async(0, Address{1, 9},
+                       [&](pdc::support::Result<StreamSocket>) { ++delivered; });
+  }
+  listener.reset();
+  const auto start = std::chrono::steady_clock::now();
+  net.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 250ms);
+  EXPECT_EQ(delivered.load(), 0);
+}
+
+TEST(Dispatcher, DestructionCutsADueBatchShort) {
+  auto net = std::make_unique<Network>(2, fast_net());
+  auto listener = net->listen(1, 9);
+  // A connect whose completion blocks the dispatcher until released.
+  struct Gate {
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<bool> entered{false};
+  };
+  Gate first;
+  Gate second;
+  auto blocking = [](Gate& gate) {
+    return [&gate](pdc::support::Result<StreamSocket>) {
+      gate.entered = true;
+      gate.released.wait();
+    };
+  };
+  auto wait_entered = [](const Gate& gate) {
+    while (!gate.entered.load()) std::this_thread::yield();
+  };
+  std::atomic<int> delivered{0};
+
+  net->connect_async(0, Address{1, 9}, blocking(first));
+  wait_entered(first);
+  // Queued behind the blocked delivery, so all of them are overdue — one
+  // batch — when the dispatcher next takes the lock.
+  net->connect_async(0, Address{1, 9}, blocking(second));
+  for (int i = 0; i < 64; ++i) {
+    net->connect_async(0, Address{1, 9},
+                       [&](pdc::support::Result<StreamSocket>) { ++delivered; });
+  }
+  std::this_thread::sleep_for(5ms);
+  first.release.set_value();
+  wait_entered(second);
+
+  std::atomic<bool> destroying{false};
+  std::thread destroyer([&] {
+    destroying = true;
+    listener.reset();
+    net.reset();
+  });
+  while (!destroying.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(100ms);  // let the destructor begin
+  second.release.set_value();
+  destroyer.join();
+  EXPECT_EQ(delivered.load(), 0);
 }
 
 // ------------------------------------------------- zero-copy frame scanning

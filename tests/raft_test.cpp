@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/raft.hpp"
@@ -73,6 +74,43 @@ class RecordingMachine : public dist::StateMachine {
 void pump(RaftNode& node, double seconds = 0.5e-3) {
   node.tick();
   testkit::poll_pause("raft.pump", seconds);
+}
+
+// ----------------------------------------------------------- wire decoding
+
+/// A 16-byte frame whose length prefix is 2^64 - 4: `pos + n` wraps to 4,
+/// so a bounds check written as `pos + n <= size` would pass.
+std::vector<std::uint8_t> wrapping_length_frame() {
+  dist::wire::Writer w;
+  w.u64(~std::uint64_t{0} - 3);
+  w.u64(0);
+  return w.take();
+}
+
+/// Decodes on a thread of its own, as a rank thread does: nothing above
+/// the decoder catches CheckFailure, so a corrupt frame ends the process
+/// with the check's message.
+template <typename Decode>
+void decode_on_thread(Decode decode) {
+  std::thread(decode).join();
+}
+
+TEST(RaftWireDeathTest, BytesLengthNearTwoToThe64IsTruncated) {
+  const auto frame = wrapping_length_frame();
+  EXPECT_DEATH(decode_on_thread([&] {
+                 dist::wire::Reader r(frame);
+                 (void)r.bytes();
+               }),
+               "truncated raft message");
+}
+
+TEST(RaftWireDeathTest, StrLengthNearTwoToThe64IsTruncated) {
+  const auto frame = wrapping_length_frame();
+  EXPECT_DEATH(decode_on_thread([&] {
+                 dist::wire::Reader r(frame);
+                 (void)r.str();
+               }),
+               "truncated raft message");
 }
 
 // --------------------------------------------------------------- election
