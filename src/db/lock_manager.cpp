@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -9,17 +10,6 @@ namespace pdc::db {
 
 using support::Status;
 using support::StatusCode;
-
-bool LockManager::grantable(const KeyLock& entry, TxnId txn, LockMode mode) {
-  if (mode == LockMode::kShared) {
-    return !entry.has_exclusive || entry.exclusive_owner == txn;
-  }
-  // Exclusive: sole ownership required; an S->X upgrade is grantable when
-  // the requester is the only sharer.
-  if (entry.has_exclusive) return entry.exclusive_owner == txn;
-  if (entry.sharers.empty()) return true;
-  return entry.sharers.size() == 1 && entry.sharers.count(txn) == 1;
-}
 
 std::vector<TxnId> LockManager::conflicting_holders(const KeyLock& entry,
                                                     TxnId txn, LockMode mode) {
@@ -35,17 +25,44 @@ std::vector<TxnId> LockManager::conflicting_holders(const KeyLock& entry,
   return holders;
 }
 
+std::pair<TxnId, TxnId> LockManager::seniority_locked(TxnId txn) const {
+  return {ages_.at(txn), txn};
+}
+
+std::vector<TxnId> LockManager::blockers_locked(TxnId txn,
+                                                const std::string& key,
+                                                const KeyLock& entry,
+                                                LockMode mode) const {
+  const bool already_held =
+      (entry.has_exclusive && entry.exclusive_owner == txn) ||
+      (mode == LockMode::kShared && entry.sharers.count(txn) > 0);
+  if (already_held) return {};
+  std::vector<TxnId> blockers = conflicting_holders(entry, txn, mode);
+  for (const auto& [waiter, wait] : waiting_) {
+    if (waiter == txn || wait.key != key) continue;
+    if (mode == LockMode::kShared && wait.mode == LockMode::kShared) continue;
+    if (seniority_locked(txn) < seniority_locked(waiter)) continue;
+    // A waiter already blocked by txn's own S lock (an S->X upgrade race)
+    // is not deferred to: that would make a two-transaction cycle.
+    if (std::find(wait.on.begin(), wait.on.end(), txn) != wait.on.end()) {
+      continue;
+    }
+    blockers.push_back(waiter);
+  }
+  return blockers;
+}
+
 TxnId LockManager::detect_and_resolve_locked(TxnId start) {
-  // DFS from `start` over waiting_for_ edges looking for a path back to
+  // DFS from `start` over waits-for edges looking for a path back to
   // `start`; the youngest transaction on that path is sacrificed.
   std::vector<TxnId> path{start};
   std::set<TxnId> visited{start};
   TxnId found_victim = 0;
 
   std::function<bool(TxnId)> dfs = [&](TxnId node) -> bool {
-    const auto it = waiting_for_.find(node);
-    if (it == waiting_for_.end()) return false;
-    for (TxnId next : it->second) {
+    const auto it = waiting_.find(node);
+    if (it == waiting_.end()) return false;
+    for (TxnId next : it->second.on) {
       if (next == start) return true;  // cycle closed
       if (visited.insert(next).second) {
         path.push_back(next);
@@ -57,22 +74,28 @@ TxnId LockManager::detect_and_resolve_locked(TxnId start) {
   };
 
   if (!dfs(start)) return 0;
-  found_victim = *std::max_element(path.begin(), path.end());
+  found_victim = *std::max_element(
+      path.begin(), path.end(), [&](TxnId lhs, TxnId rhs) {
+        return seniority_locked(lhs) < seniority_locked(rhs);
+      });
   victims_.insert(found_victim);
   ++deadlocks_;
   return found_victim;
 }
 
-Status LockManager::lock(TxnId txn, const std::string& key, LockMode mode) {
+Status LockManager::lock(TxnId txn, const std::string& key, LockMode mode,
+                         TxnId age) {
   std::unique_lock lock(mutex_);
   for (;;) {
+    ages_.try_emplace(txn, age == 0 ? txn : age);
     if (victims_.erase(txn) > 0) {
-      waiting_for_.erase(txn);
+      waiting_.erase(txn);
       return {StatusCode::kAborted, "chosen as deadlock victim"};
     }
     KeyLock& entry = keys_[key];
-    if (grantable(entry, txn, mode)) {
-      waiting_for_.erase(txn);
+    std::vector<TxnId> blockers = blockers_locked(txn, key, entry, mode);
+    if (blockers.empty()) {
+      waiting_.erase(txn);
       if (mode == LockMode::kShared) {
         if (!entry.has_exclusive) {
           entry.sharers.insert(txn);
@@ -87,11 +110,11 @@ Status LockManager::lock(TxnId txn, const std::string& key, LockMode mode) {
     }
 
     // Record wait edges, look for a cycle, then sleep.
-    waiting_for_[txn] = conflicting_holders(entry, txn, mode);
+    waiting_.insert_or_assign(txn, Wait{key, mode, std::move(blockers)});
     const TxnId victim = detect_and_resolve_locked(txn);
     if (victim == txn) {
       victims_.erase(txn);
-      waiting_for_.erase(txn);
+      waiting_.erase(txn);
       return {StatusCode::kAborted, "chosen as deadlock victim"};
     }
     if (victim != 0) {
@@ -116,7 +139,8 @@ void LockManager::unlock_all(TxnId txn) {
       ++it;
     }
   }
-  waiting_for_.erase(txn);
+  waiting_.erase(txn);
+  ages_.erase(txn);
   victims_.erase(txn);
   lock.unlock();
   changed_.notify_all();

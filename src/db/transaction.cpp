@@ -10,7 +10,7 @@ using support::Status;
 using support::StatusCode;
 
 Txn::Txn(Txn&& other) noexcept
-    : db_(other.db_), id_(other.id_), active_(other.active_),
+    : db_(other.db_), id_(other.id_), age_(other.age_), active_(other.active_),
       undo_(std::move(other.undo_)) {
   other.active_ = false;
 }
@@ -29,7 +29,7 @@ Status Txn::on_lock_failure(Status status) {
 
 support::Result<std::string> Txn::get(const std::string& key) {
   PDC_CHECK_MSG(active_, "get() on a finished transaction");
-  if (auto status = db_->locks_.lock(id_, key, LockMode::kShared);
+  if (auto status = db_->locks_.lock(id_, key, LockMode::kShared, age_);
       !status.is_ok()) {
     return on_lock_failure(status);
   }
@@ -44,7 +44,7 @@ support::Result<std::string> Txn::get(const std::string& key) {
 
 Status Txn::put(const std::string& key, const std::string& value) {
   PDC_CHECK_MSG(active_, "put() on a finished transaction");
-  if (auto status = db_->locks_.lock(id_, key, LockMode::kExclusive);
+  if (auto status = db_->locks_.lock(id_, key, LockMode::kExclusive, age_);
       !status.is_ok()) {
     return on_lock_failure(status);
   }
@@ -60,7 +60,7 @@ Status Txn::put(const std::string& key, const std::string& value) {
 
 Status Txn::erase(const std::string& key) {
   PDC_CHECK_MSG(active_, "erase() on a finished transaction");
-  if (auto status = db_->locks_.lock(id_, key, LockMode::kExclusive);
+  if (auto status = db_->locks_.lock(id_, key, LockMode::kExclusive, age_);
       !status.is_ok()) {
     return on_lock_failure(status);
   }
@@ -102,7 +102,10 @@ void Txn::abort() {
   ++db_->aborted_;
 }
 
-Txn Database::begin() { return Txn(this, next_txn_.fetch_add(1)); }
+Txn Database::begin(TxnId age) {
+  const TxnId id = next_txn_.fetch_add(1);
+  return Txn(this, id, age == 0 ? id : age);
+}
 
 std::optional<std::string> Database::peek(const std::string& key) const {
   std::scoped_lock lock(data_mutex_);

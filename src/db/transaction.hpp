@@ -32,6 +32,9 @@ class Txn {
   ~Txn();
 
   [[nodiscard]] TxnId id() const { return id_; }
+  /// Deadlock-victim priority: the id of the logical transaction's first
+  /// attempt (equal to id() unless begun as a retry).
+  [[nodiscard]] TxnId age() const { return age_; }
   [[nodiscard]] bool active() const { return active_; }
 
   /// Reads `key` under a shared lock (kNotFound when absent; kAborted when
@@ -52,7 +55,7 @@ class Txn {
 
  private:
   friend class Database;
-  Txn(Database* db, TxnId id) : db_(db), id_(id) {}
+  Txn(Database* db, TxnId id, TxnId age) : db_(db), id_(id), age_(age) {}
 
   /// Applies deadlock-victim handling to a failed lock acquisition.
   support::Status on_lock_failure(support::Status status);
@@ -64,6 +67,7 @@ class Txn {
 
   Database* db_;
   TxnId id_;
+  TxnId age_;
   bool active_ = true;
   std::vector<UndoEntry> undo_;
 };
@@ -74,8 +78,10 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Starts a new transaction.
-  Txn begin();
+  /// Starts a new transaction. A retry of an aborted transaction passes
+  /// the first attempt's age() so it keeps its deadlock-victim priority;
+  /// 0 starts a fresh transaction whose age is its own id.
+  Txn begin(TxnId age = 0);
 
   /// Non-transactional read of committed state (test/diagnostic use).
   [[nodiscard]] std::optional<std::string> peek(const std::string& key) const;

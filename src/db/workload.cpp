@@ -36,8 +36,10 @@ WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config) {
           op.write = rng.bernoulli(config.write_fraction);
           op.key = zipf(rng);
         }
+        TxnId age = 0;  // retries keep the first attempt's victim priority
         for (std::size_t attempt = 0; attempt < config.max_attempts; ++attempt) {
-          Txn txn = db.begin();
+          Txn txn = db.begin(age);
+          age = txn.age();
           bool victim = false;
           for (const auto& op : ops) {
             if (config.yield_between_ops) std::this_thread::yield();

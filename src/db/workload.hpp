@@ -45,7 +45,8 @@ struct WorkloadResult {
 };
 
 /// Runs the workload against `db` with strict-2PL transactions; deadlock
-/// victims retry (fresh transaction) up to max_attempts.
+/// victims retry (fresh transaction, first attempt's age) up to
+/// max_attempts.
 WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config);
 
 /// Generates the same shape of workload as one interleaved Schedule for

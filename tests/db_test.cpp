@@ -89,6 +89,64 @@ TEST(LockManager, DeadlockChoosesYoungestVictim) {
   EXPECT_EQ(locks.deadlocks_detected(), 1u);
 }
 
+TEST(LockManager, RetryKeepsItsAgeAsDeadlockVictimPriority) {
+  // Txn 3 retries txn 1 (age 1), so txn 2 is the younger one on the cycle
+  // even though its id is smaller.
+  LockManager locks;
+  ASSERT_TRUE(locks.lock(3, "a", LockMode::kExclusive, /*age=*/1).is_ok());
+  ASSERT_TRUE(locks.lock(2, "b", LockMode::kExclusive).is_ok());
+
+  pdc::support::Status status2, status3;
+  std::thread t3([&] { status3 = locks.lock(3, "b", LockMode::kExclusive); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread t2([&] { status2 = locks.lock(2, "a", LockMode::kExclusive); });
+  t2.join();
+  EXPECT_EQ(status2.code(), StatusCode::kAborted);
+  locks.unlock_all(2);
+  t3.join();
+  EXPECT_TRUE(status3.is_ok());
+}
+
+TEST(LockManager, NewRequesterQueuesBehindOlderWaiter) {
+  // Txn 3 arrives while older txn 2 waits for "a": when txn 1 releases,
+  // txn 2 gets the lock and txn 3 cannot barge in ahead of it.
+  LockManager locks;
+  ASSERT_TRUE(locks.lock(1, "a", LockMode::kExclusive).is_ok());
+  std::atomic<bool> granted3{false};
+  std::thread t2(
+      [&] { ASSERT_TRUE(locks.lock(2, "a", LockMode::kExclusive).is_ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread t3([&] {
+    ASSERT_TRUE(locks.lock(3, "a", LockMode::kShared).is_ok());
+    granted3 = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  locks.unlock_all(1);
+  for (int i = 0; i < 200 && !locks.holds(2, "a") && !granted3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(locks.holds(2, "a"));
+  EXPECT_FALSE(granted3.load());
+  if (granted3) locks.unlock_all(3);  // a barged-in txn 3 would block txn 2
+  t2.join();
+  locks.unlock_all(2);
+  t3.join();
+  EXPECT_TRUE(granted3.load());
+  EXPECT_EQ(locks.deadlocks_detected(), 0u);
+}
+
+TEST(Transaction, RetryCarriesFirstAttemptAge) {
+  Database db;
+  Txn first = db.begin();
+  EXPECT_EQ(first.age(), first.id());
+  first.abort();
+  Txn retry = db.begin(first.age());
+  EXPECT_GT(retry.id(), first.id());
+  EXPECT_EQ(retry.age(), first.id());
+  retry.abort();
+}
+
 // ------------------------------------------------------------- transactions
 
 TEST(Transaction, CommitPublishesWrites) {
