@@ -13,7 +13,6 @@
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/sort.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -83,7 +82,7 @@ BENCHMARK(BM_ParallelScan)->Arg(1 << 16)->Arg(1 << 20)->Unit(benchmark::kMicrose
 
 template <bool kUseMergeSort>
 void sort_benchmark(benchmark::State& state) {
-  WorkStealingPool pool(4);
+  ThreadPool pool(4);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   pdc::support::Rng rng(7);
   std::vector<int> original(n);

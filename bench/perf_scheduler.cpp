@@ -11,7 +11,7 @@
 //
 // The baseline pool below deliberately reproduces the pre-PR-3 scheduler:
 // one std::mutex per worker deque, std::function tasks, lock-the-victim
-// stealing, an unconditional notify_one per spawn, and a timed CV wait
+// stealing, an unconditional notify_one per post, and a timed CV wait
 // whenever a worker comes up empty. Same topology, same task bodies — only
 // the synchronization strategy differs, so the ratio isolates what every
 // scheduler transition used to pay in locks and wakeups.
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "obs/bench_report.hpp"
-#include "parallel/work_stealing.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 
@@ -47,7 +47,7 @@ namespace baseline {
 // The pre-PR-3 scheduler, reproduced verbatim in structure: per-worker
 // deques each guarded by its own mutex (owners push/pop the back, thieves
 // lock a victim and take the front), std::function tasks, one
-// notify_one per spawn, and a 1ms timed CV wait when a scan finds nothing.
+// notify_one per post, and a 1ms timed CV wait when a scan finds nothing.
 class MutexedPool {
  public:
   explicit MutexedPool(std::size_t threads) : workers_(threads) {
@@ -64,7 +64,7 @@ class MutexedPool {
     for (auto& t : threads_) t.join();
   }
 
-  void spawn(std::function<void()> fn) {
+  void post(std::function<void()> fn) {
     pending_.fetch_add(1, std::memory_order_acq_rel);
     const std::size_t index =
         (t_pool == this) ? t_index : next_.fetch_add(1) % workers_.size();
@@ -169,7 +169,7 @@ double spawn_tasks_per_second(Pool& pool) {
   sink.store(0, std::memory_order_relaxed);
   Stopwatch timer;
   for (int i = 0; i < kSpawnTasks; ++i) {
-    pool.spawn([] { sink.fetch_add(1, std::memory_order_relaxed); });
+    pool.post([] { sink.fetch_add(1, std::memory_order_relaxed); });
   }
   pool.wait_idle();
   const double seconds = timer.elapsed_seconds();
@@ -187,7 +187,7 @@ void fork_tree(Pool& pool, std::atomic<int>& count, int depth) {
   count.fetch_add(1, std::memory_order_relaxed);
   if (depth == 0) return;
   for (int i = 0; i < 2; ++i) {
-    pool.spawn([&pool, &count, depth] { fork_tree(pool, count, depth - 1); });
+    pool.post([&pool, &count, depth] { fork_tree(pool, count, depth - 1); });
   }
 }
 
@@ -197,7 +197,7 @@ double forkjoin_us_per_tree(Pool& pool) {
   Stopwatch timer;
   for (int tree = 0; tree < kForkTrees; ++tree) {
     std::atomic<int> count{0};
-    pool.spawn([&pool, &count] { fork_tree(pool, count, kForkDepth - 1); });
+    pool.post([&pool, &count] { fork_tree(pool, count, kForkDepth - 1); });
     pool.wait_idle();
     if (count.load() != kNodes) {
       std::cerr << "fork tree lost tasks\n";
@@ -220,9 +220,9 @@ double hot_owner_flood_per_second(Pool& pool) {
   sink.store(0, std::memory_order_relaxed);
   constexpr int kFlood = 100000;
   Stopwatch timer;
-  pool.spawn([&pool] {
+  pool.post([&pool] {
     for (int i = 0; i < kFlood; ++i) {
-      pool.spawn([] { sink.fetch_add(1, std::memory_order_relaxed); });
+      pool.post([] { sink.fetch_add(1, std::memory_order_relaxed); });
     }
   });
   pool.wait_idle();
@@ -272,7 +272,7 @@ int main() {
     double lockfree_fork = 0.0;
     double lockfree_flood = 0.0;
     {
-      pdc::parallel::WorkStealingPool pool(threads);
+      pdc::parallel::ThreadPool pool(threads);
       spawn_tasks_per_second(pool);  // warmup
       lockfree_spawn = spawn_tasks_per_second(pool);
       lockfree_fork = forkjoin_us_per_tree(pool);

@@ -14,7 +14,7 @@
 //
 // Backoff itself never blocks — parking needs a queue-specific predicate
 // and a testkit-instrumented wait, so it stays in the caller (see
-// parallel::WorkStealingPool and docs/scheduler.md for the full ladder).
+// parallel::ThreadPool and docs/scheduler.md for the full ladder).
 #pragma once
 
 #include <cstdint>

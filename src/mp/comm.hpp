@@ -130,7 +130,9 @@ class Communicator {
     check_peer(dest);
     PDC_CHECK_MSG(tag >= 0, "negative tags are reserved for wildcards");
     Payload payload(count * sizeof(T));
-    std::memcpy(payload.data(), data, payload.size());
+    // memcpy with a null pointer is UB even for zero bytes, and an empty
+    // payload's data() may be null.
+    if (!payload.empty()) std::memcpy(payload.data(), data, payload.size());
     deliver(dest, user_context_, tag, std::move(payload));
   }
 
@@ -534,7 +536,9 @@ class Communicator {
   template <typename T>
   void coll_send(const T* data, std::size_t count, int dest, int tag) {
     Payload payload(count * sizeof(T));
-    std::memcpy(payload.data(), data, payload.size());
+    // memcpy with a null pointer is UB even for zero bytes, and an empty
+    // payload's data() may be null.
+    if (!payload.empty()) std::memcpy(payload.data(), data, payload.size());
     deliver(dest, user_context_ + 1, tag, std::move(payload));
   }
 
@@ -550,7 +554,9 @@ class Communicator {
                   "payload size not a multiple of the element size");
     PDC_CHECK_MSG(message.payload.size() <= capacity * sizeof(T),
                   "message larger than the receive buffer");
-    std::memcpy(data, message.payload.data(), message.payload.size());
+    if (!message.payload.empty()) {
+      std::memcpy(data, message.payload.data(), message.payload.size());
+    }
     PDC_OBS_COUNT("pdc.mp.received");
     if (rank_received_ != nullptr) rank_received_->inc();
     obs::wire_accept(message.envelope.trace, "mp.recv",

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "obs/obs.hpp"
-#include "parallel/work_stealing.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 
 namespace pdc::net {
@@ -127,7 +127,8 @@ struct Server::EventEngine {
     // racing that clear either lands in the still-running drain's next
     // sweep or wins this exchange and schedules a fresh task.
     if (!shard.scheduled.exchange(true, std::memory_order_acq_rel)) {
-      pool.spawn([this, &shard] { drain(shard); });
+      // Refused only once the pool is shut down, when no drain is due.
+      (void)pool.post([this, &shard] { drain(shard); });
     }
   }
 
@@ -257,7 +258,7 @@ struct Server::EventEngine {
 
   Server& server;
   ReadySet ready_set;
-  parallel::WorkStealingPool pool;
+  parallel::ThreadPool pool;
   std::size_t shard_count;
   std::vector<std::unique_ptr<Shard>> shards;
   std::uint64_t next_id = 1;  // acceptor thread only; 0 is the listener

@@ -10,7 +10,7 @@
 //    blocked connection holds one worker hostage, so concurrency is capped
 //    at the pool size;
 //  - kEventDriven: a readiness loop over the simulated fabric multiplexes
-//    every connection onto a lock-free WorkStealingPool. Connections are
+//    every connection onto the work-stealing ThreadPool. Connections are
 //    sharded by id; each ready batch is drained by a task on the shard,
 //    frames are parsed zero-copy against the connection's receive buffer,
 //    and handler invocations run inline in the task. This is the model

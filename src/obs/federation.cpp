@@ -118,6 +118,15 @@ std::size_t firing_rules(const std::vector<AlertWireRow>& rows) {
   return firing;
 }
 
+/// A target that could not be reached, or whose reply does not parse.
+void count_scrape_error() { PDC_OBS_COUNT("pdc.fed.scrape_errors"); }
+
+/// A well-formed `{"error":...}` answer: the endpoint has nothing to serve
+/// (a NOOP rank, no collector, no monitor). Skipped, not counted.
+bool is_error_answer(const std::string& body) {
+  return body.rfind("{\"error\"", 0) == 0;
+}
+
 }  // namespace
 
 MetricsSnapshot merge_federated(const std::vector<SourceSnapshot>& sources,
@@ -247,7 +256,6 @@ support::Result<MetricsSnapshot> Aggregator::scrape_target(
 MetricsSnapshot Aggregator::federate() {
   const std::vector<ScrapeTarget> targets = targets_copy();
   std::vector<std::optional<MetricsSnapshot>> scraped(targets.size());
-  std::atomic<std::uint64_t> errors{0};
   parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
     const std::uint64_t start = now_us();
     auto result = scrape_target(targets[i]);
@@ -255,7 +263,7 @@ MetricsSnapshot Aggregator::federate() {
     if (result.is_ok()) {
       scraped[i] = std::move(result).value();
     } else {
-      errors.fetch_add(1, std::memory_order_relaxed);
+      count_scrape_error();
     }
   });
   // Sources merge in target-declaration order (index-stable slots), not
@@ -271,8 +279,6 @@ MetricsSnapshot Aggregator::federate() {
   MetricsSnapshot merged = merge_federated(sources, config_.source_label);
   PDC_OBS_HIST("pdc.fed.merge_us", now_us() - merge_start);
   PDC_OBS_COUNT("pdc.fed.scrapes");
-  const std::uint64_t failed = errors.load(std::memory_order_relaxed);
-  if (failed != 0) PDC_OBS_COUNT("pdc.fed.scrape_errors", failed);
   return merged;
 }
 
@@ -281,9 +287,12 @@ FoldedProfile Aggregator::federate_profiles() {
   std::vector<std::optional<FoldedProfile>> fetched(targets.size());
   parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
     auto reply = fetch_text(targets[i], "/profile/folded");
-    // NOOP ranks answer an error JSON — a single line with no trailing
-    // count, which parse_folded drops, leaving an empty (skipped) profile.
-    if (reply.is_ok() && reply.value().rfind("{\"error\"", 0) != 0) {
+    if (!reply.is_ok()) {
+      count_scrape_error();
+      return;
+    }
+    // NOOP ranks answer an error JSON; skip them.
+    if (!is_error_answer(reply.value())) {
       fetched[i] = parse_folded(reply.value());
     }
   });
@@ -311,11 +320,17 @@ std::vector<TraceSummary> Aggregator::federate_traces(std::size_t n) {
   parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
     auto reply = fetch_text(targets[i], "/trace/slowest.wire?n=" +
                                             std::to_string(n));
+    if (!reply.is_ok()) {
+      count_scrape_error();
+      return;
+    }
     // NOOP ranks and span-less servers answer an error JSON; skip them
     // like federate_profiles does.
-    if (!reply.is_ok() || reply.value().rfind("{\"error\"", 0) == 0) return;
+    if (is_error_answer(reply.value())) return;
     if (auto traces = parse_traces_wire(reply.value())) {
       fetched[i] = std::move(*traces);
+    } else {
+      count_scrape_error();
     }
   });
   std::vector<TraceSummary> merged;
@@ -342,11 +357,17 @@ std::vector<AlertWireRow> Aggregator::federate_alerts() {
   std::vector<std::vector<AlertWireRow>> fetched(targets.size());
   parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
     auto reply = fetch_text(targets[i], "/alerts.wire");
+    if (!reply.is_ok()) {
+      count_scrape_error();
+      return;
+    }
     // NOOP ranks and monitor-less servers answer an error JSON; skip them
     // like federate_traces does.
-    if (!reply.is_ok() || reply.value().rfind("{\"error\"", 0) == 0) return;
+    if (is_error_answer(reply.value())) return;
     if (auto rows = parse_alerts_wire(reply.value())) {
       fetched[i] = std::move(*rows);
+    } else {
+      count_scrape_error();
     }
   });
   std::vector<AlertWireRow> merged;

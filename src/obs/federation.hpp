@@ -135,8 +135,9 @@ class Aggregator {
 
   /// Federates the targets' /profile/folded bodies: rank-stamps each
   /// stack with a `<source_label>=<source>` root frame (unless already
-  /// stamped) and sums by key. Targets answering errors (NOOP ranks,
-  /// unreachable) are skipped.
+  /// stamped) and sums by key. Targets answering an error JSON (NOOP
+  /// ranks) are skipped; unreachable ones are skipped and counted in
+  /// pdc.fed.scrape_errors.
   [[nodiscard]] FoldedProfile federate_profiles();
 
   /// Federates the targets' kept-trace lists: fetches each
@@ -144,15 +145,17 @@ class Aggregator {
   /// (insert-if-absent — a lower aggregator tier's attribution survives),
   /// merges, and returns the fleet-wide n slowest (root_us descending;
   /// ties broken by source then trace id, so the list is byte-stable).
-  /// Targets answering errors (NOOP ranks, no collector, unreachable)
-  /// are skipped.
+  /// Targets answering an error JSON (NOOP ranks, no collector) are
+  /// skipped; unreachable or unparseable ones are skipped and counted in
+  /// pdc.fed.scrape_errors.
   [[nodiscard]] std::vector<TraceSummary> federate_traces(std::size_t n);
 
   /// Federates the targets' /alerts.wire rows: stamps `source` on rows
   /// that carry none (insert-if-absent — a lower aggregator tier's
   /// attribution survives) and returns them sorted by (rule, source).
-  /// Targets answering errors (NOOP ranks, no monitor, unreachable) are
-  /// skipped.
+  /// Targets answering an error JSON (NOOP ranks, no monitor) are
+  /// skipped; unreachable or unparseable ones are skipped and counted in
+  /// pdc.fed.scrape_errors.
   [[nodiscard]] std::vector<AlertWireRow> federate_alerts();
 
   /// Sends a control verb ("reset", "snapshot-now") to every target

@@ -8,10 +8,6 @@
 
 namespace pdc::obs {
 
-namespace detail {
-thread_local WorkerSlot* t_profile_slot = nullptr;
-}  // namespace detail
-
 const char* to_string(WorkerState state) {
   switch (state) {
     case WorkerState::kIdle: return "idle";

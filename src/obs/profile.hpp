@@ -124,7 +124,10 @@ class WorkerSlot {
 };
 
 namespace detail {
-extern thread_local WorkerSlot* t_profile_slot;
+// Defined inline with a constant initializer: an `extern thread_local`
+// is reached through a TLS wrapper call that UBSan reports as a null
+// pointer access when a pool worker unbinds its slot on exit.
+inline thread_local WorkerSlot* t_profile_slot = nullptr;
 }  // namespace detail
 
 /// Folded flamegraph accumulation: stack key → sample count. Keys are

@@ -478,7 +478,7 @@ bool TelemetryServer::handle_stream(const net::Bytes& request,
   const bool got_frames = static_cast<bool>(in >> frames);
   if (!(in >> interval_ms)) {
     // Second token absent or non-numeric: default the interval and let a
-    // bare "/subscribe N pdc.pool." treat the token as the filter.
+    // bare "/subscribe N pdc.steal." treat the token as the filter.
     in.clear();
     interval_ms = 0;
   }

@@ -56,7 +56,7 @@
 //                   under PDCKIT_OBS_NOOP)
 //   /subscribe N I [filter]  push N framed delta snapshots, I ms apart;
 //                   the optional third token restricts frames to series
-//                   whose canonical name starts with it — "pdc.pool." for
+//                   whose canonical name starts with it — "pdc.steal." for
 //                   a family, `pdc.raft.term{rank="1"}` for one labeled
 //                   series (see below)
 //   /trace/stream N I  push N framed chunks of live trace events from the

@@ -3,8 +3,9 @@
 // Supports the three canonical schedules (static, dynamic, guided) so their
 // load-balance/overhead trade-off can be taught and measured
 // (bench/lab_lau_multicore). The calling thread participates as one of the
-// runners, so a pool of size 1 still executes correctly and the call never
-// deadlocks when issued from inside a worker.
+// runners, so a pool of size 1 still executes correctly; a caller on one
+// of the pool's own workers helps run tasks while it joins, so nested
+// loops on the same pool never deadlock.
 //
 // Runner tasks ride the pool's lock-free scheduling path (parallel::Task +
 // per-worker deques, docs/scheduler.md): each runner closure fits Task's
@@ -132,9 +133,20 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
     done->count_down();
   };
 
-  for (std::size_t r = 1; r < runners; ++r) pool.post(run);
-  run();          // the caller is runner 0
-  done->wait();   // all chunks complete
+  for (std::size_t r = 1; r < runners; ++r) {
+    // A refused post (pool shut down) is a runner that never starts; the
+    // caller's own runner covers its chunks.
+    if (!pool.post(run).is_ok()) done->count_down();
+  }
+  run();  // the caller is runner 0
+  // All chunks complete. A worker of this pool must help instead of
+  // blocking: its runners may sit in its own deque, and with every peer
+  // doing the same, nobody would be left to steal them.
+  if (pool.inside_worker()) {
+    pool.help_while([&done] { return done->try_wait(); });
+  } else {
+    done->wait();
+  }
 
   if (control->first_error) std::rethrow_exception(control->first_error);
 }

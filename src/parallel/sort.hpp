@@ -1,11 +1,11 @@
-// Parallel divide-and-conquer sorting on the work-stealing pool.
+// Parallel divide-and-conquer sorting on the work-stealing ThreadPool.
 //
 // CC2020 recommends covering "a parallel divide-and-conquer algorithm";
 // mergesort (stable, predictable splits) and quicksort (data-dependent
 // splits, exercising the load balancer) are the canonical pair. Both fall
 // back to std::sort below `cutoff` — the grain-size lesson.
 //
-// Spawns from inside workers hit the Chase–Lev owner fast path (plain
+// Posts from inside workers hit the Chase–Lev owner fast path (plain
 // push, no CAS), so the recursion's fork cost is a slab-node acquire plus
 // one release store; see docs/scheduler.md.
 #pragma once
@@ -14,7 +14,8 @@
 #include <atomic>
 #include <vector>
 
-#include "parallel/work_stealing.hpp"
+#include "parallel/thread_pool.hpp"
+#include "support/check.hpp"
 
 namespace pdc::parallel {
 
@@ -34,7 +35,7 @@ void merge_ranges(std::vector<T>& data, std::vector<T>& scratch,
 }
 
 template <typename T, typename Cmp>
-void merge_sort_task(WorkStealingPool& pool, std::vector<T>& data,
+void merge_sort_task(ThreadPool& pool, std::vector<T>& data,
                      std::vector<T>& scratch, std::size_t lo, std::size_t hi,
                      std::size_t cutoff, Cmp cmp) {
   if (hi - lo <= cutoff) {
@@ -44,10 +45,11 @@ void merge_sort_task(WorkStealingPool& pool, std::vector<T>& data,
   }
   const std::size_t mid = lo + (hi - lo) / 2;
   std::atomic<bool> left_done{false};
-  pool.spawn([&, lo, mid] {
+  const auto forked = pool.post([&, lo, mid] {
     merge_sort_task(pool, data, scratch, lo, mid, cutoff, cmp);
     left_done.store(true, std::memory_order_release);
   });
+  PDC_CHECK_MSG(forked.is_ok(), "fork on a shut-down pool");
   merge_sort_task(pool, data, scratch, mid, hi, cutoff, cmp);
   // Fork/join: help run other tasks instead of blocking while the sibling
   // subtree finishes.
@@ -76,11 +78,11 @@ std::size_t partition_range(std::vector<T>& data, std::size_t lo,
 }
 
 template <typename T, typename Cmp>
-void quick_sort_task(WorkStealingPool& pool, std::vector<T>& data,
+void quick_sort_task(ThreadPool& pool, std::vector<T>& data,
                      std::size_t lo, std::size_t hi, std::size_t cutoff,
                      Cmp cmp) {
-  // Spawn the smaller side of each partition and keep the larger side in
-  // this loop. The spawned subproblem is at most half the range, so the
+  // Fork the smaller side of each partition and keep the larger side in
+  // this loop. The forked subproblem is at most half the range, so the
   // task tree stays O(log n) deep, and looping (rather than recursing) on
   // the larger side keeps this frame's stack depth constant — skewed
   // pivots on nearly-sorted input otherwise recurse ~n/cutoff frames deep.
@@ -93,10 +95,12 @@ void quick_sort_task(WorkStealingPool& pool, std::vector<T>& data,
       std::swap(spawn_hi, keep_hi);
     }
     pending.fetch_add(1, std::memory_order_relaxed);
-    pool.spawn([&pool, &data, &pending, spawn_lo, spawn_hi, cutoff, cmp] {
-      quick_sort_task(pool, data, spawn_lo, spawn_hi, cutoff, cmp);
-      pending.fetch_sub(1, std::memory_order_release);
-    });
+    const auto forked =
+        pool.post([&pool, &data, &pending, spawn_lo, spawn_hi, cutoff, cmp] {
+          quick_sort_task(pool, data, spawn_lo, spawn_hi, cutoff, cmp);
+          pending.fetch_sub(1, std::memory_order_release);
+        });
+    PDC_CHECK_MSG(forked.is_ok(), "fork on a shut-down pool");
     lo = keep_lo;
     hi = keep_hi;
   }
@@ -110,7 +114,7 @@ void quick_sort_task(WorkStealingPool& pool, std::vector<T>& data,
 
 /// Stable-split parallel mergesort. Blocks until sorted.
 template <typename T, typename Cmp = std::less<T>>
-void parallel_merge_sort(WorkStealingPool& pool, std::vector<T>& data,
+void parallel_merge_sort(ThreadPool& pool, std::vector<T>& data,
                          std::size_t cutoff = 2048, Cmp cmp = {}) {
   if (data.size() <= 1) return;
   std::vector<T> scratch(data.size());
@@ -120,7 +124,7 @@ void parallel_merge_sort(WorkStealingPool& pool, std::vector<T>& data,
 
 /// Parallel quicksort with median-of-three pivoting. Blocks until sorted.
 template <typename T, typename Cmp = std::less<T>>
-void parallel_quick_sort(WorkStealingPool& pool, std::vector<T>& data,
+void parallel_quick_sort(ThreadPool& pool, std::vector<T>& data,
                          std::size_t cutoff = 2048, Cmp cmp = {}) {
   if (data.size() <= 1) return;
   detail::quick_sort_task(pool, data, 0, data.size(),

@@ -4,12 +4,12 @@
 // std::function<void()> — the previous task representation — copies its
 // target, requires it to be copyable, and heap-allocates once the closure
 // outgrows the implementation's tiny SBO (typically 16–32 bytes). Every
-// fork/join spawn paid that allocation, and ThreadPool::submit paid a
+// fork/join post paid that allocation, and ThreadPool::submit paid a
 // second one for the shared_ptr<packaged_task> wrapper. Task removes both:
 // any nothrow-movable callable up to kInlineBytes (enough for a handful of
 // captured pointers/shared_ptrs) lives directly inside the Task object,
 // which itself lives inside a pooled TaskNode or an injection-queue cell —
-// zero heap traffic on the spawn/steal/run hot path. Oversized or
+// zero heap traffic on the post/steal/run hot path. Oversized or
 // throwing-move callables transparently fall back to the heap.
 //
 // Unlike std::function, invocation does not require copyability, so tasks

@@ -244,10 +244,14 @@ support::Status TaskGraph::run(ThreadPool& pool) {
   }
 
   {
-    std::unique_lock lock(state->mutex);
-    state->all_done.wait(lock, [&] {
+    const auto finished = [&] {
       return state->outstanding.load(std::memory_order_acquire) == 0;
-    });
+    };
+    // A worker of this pool helps instead of blocking (the ready tasks
+    // may sit in its own deque); other callers sleep on the CV.
+    if (pool.inside_worker()) pool.help_while(finished);
+    std::unique_lock lock(state->mutex);
+    state->all_done.wait(lock, finished);
     completion_order_ = state->completion_order;
   }
   if (state->first_error) std::rethrow_exception(state->first_error);

@@ -61,6 +61,8 @@ class TaskGraph {
   /// Executes every task on `pool`, respecting dependencies; independent
   /// tasks run concurrently. Fails with kFailedPrecondition on a cyclic
   /// graph (nothing runs). Task exceptions propagate to the caller.
+  /// Callable from a task on `pool`: the caller helps run tasks while it
+  /// waits.
   support::Status run(ThreadPool& pool);
 
   /// The order in which tasks completed in the last run (diagnostic;

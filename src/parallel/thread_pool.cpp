@@ -14,21 +14,25 @@ thread_local const ThreadPool* t_current_pool = nullptr;
 
 constexpr std::size_t kInjectCapacity = 1u << 12;
 constexpr auto kParkTimeout = std::chrono::milliseconds(1);
+// Max tasks claimed per steal sweep (further capped at half the victim's
+// backlog by ChaseLevDeque::steal_batch).
+constexpr std::size_t kStealBatch = 8;
 
-std::size_t resolve_threads(std::size_t requested) {
-  if (requested != 0) return requested;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+support::Status closed_status() {
+  return {support::StatusCode::kClosed, "pool shut down"};
 }
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) : inject_(kInjectCapacity) {
-  const std::size_t n = resolve_threads(threads);
+  const std::size_t n =
+      threads != 0 ? threads
+                   : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());
     if constexpr (obs::kObsEnabled) {
       workers_.back()->depth_hist = &obs::MetricsRegistry::instance().histogram(
-          "pdc.pool.deque_depth.w" + std::to_string(i));
+          "pdc.steal.deque_depth.w" + std::to_string(i));
     }
   }
   threads_.reserve(n);
@@ -48,11 +52,11 @@ support::Status ThreadPool::post(Task fn) {
   pending_.fetch_add(1, std::memory_order_seq_cst);
   if (closed_.load(std::memory_order_seq_cst)) {
     pending_.fetch_sub(1, std::memory_order_acq_rel);
-    return {support::StatusCode::kClosed, "pool shut down"};
+    return closed_status();
   }
   if (t_current_pool == this) {
-    // Worker threads self-enqueue on their own deque: lock-free, LIFO,
-    // unbounded — a task that posts more tasks can never block here.
+    // Locality: child tasks stay with the forker, LIFO at the deque
+    // bottom. No lock, no CAS — the owner-side Chase–Lev fast path.
     Worker& w = *workers_[t_worker_index];
     TaskNode* node = w.slab.acquire();
     node->fn = std::move(fn);
@@ -60,7 +64,7 @@ support::Status ThreadPool::post(Task fn) {
     if constexpr (obs::kObsEnabled) {
       const auto depth =
           static_cast<std::uint64_t>(w.deque.size_estimate());
-      PDC_OBS_HIST("pdc.pool.deque_depth", depth);
+      PDC_OBS_HIST("pdc.steal.deque_depth", depth);
       w.depth_hist->record(depth);
     }
   } else {
@@ -71,17 +75,15 @@ support::Status ThreadPool::post(Task fn) {
     while (!inject_.try_push(std::move(fn))) {
       if (closed_.load(std::memory_order_acquire)) {
         pending_.fetch_sub(1, std::memory_order_acq_rel);
-        return {support::StatusCode::kClosed, "pool shut down"};
+        return closed_status();
       }
-      PDC_OBS_COUNT("pdc.pool.inject_full");
+      PDC_OBS_COUNT("pdc.steal.inject_full");
       testkit::poll_pause("pool.inject.full");
       backoff.step();
     }
   }
-  // Only an accepted task counts: the gauge balances against the dequeue
-  // decrement in worker_loop, so it reads 0 at quiescence.
-  PDC_OBS_COUNT("pdc.pool.submitted");
-  PDC_OBS_GAUGE_ADD("pdc.pool.queue_depth", 1);
+  // Only an accepted task counts, so spawned == run at quiescence.
+  PDC_OBS_COUNT("pdc.steal.spawned");
   wake_one();
   return support::Status::ok();
 }
@@ -108,76 +110,141 @@ void ThreadPool::wake_one() {
 }
 
 bool ThreadPool::try_take(std::size_t self, Task& out) {
-  TaskNode* node = nullptr;
-  if (workers_[self]->deque.pop(node)) {
-    out = std::move(node->fn);
-    TaskSlab::release(node, /*owner=*/true);
-    return true;
+  if (self != SIZE_MAX) {
+    TaskNode* node = nullptr;
+    if (workers_[self]->deque.pop(node)) {
+      out = std::move(node->fn);
+      TaskSlab::release(node, /*owner=*/true);
+      return true;
+    }
   }
   if (inject_.try_pop(out)) return true;
-  // Entering the steal sweep: own deque and injection were both empty, so
-  // the worker is now hunting — visible to the sampling profiler until the
-  // next running/parked publish.
+  // Entering the steal sweep: visible to the sampling profiler as
+  // "stealing" until the next running/parked publish (no-op for external
+  // threads, which have no bound slot).
   obs::publish_worker_state(obs::WorkerState::kStealing);
+  // Steal sweep starting at a rotating offset to spread contention. A
+  // kLost race with nothing claimed (someone else got the element first)
+  // retries the same victim — losing means there IS work, the worst time
+  // to give up. Workers steal a *batch* (up to kStealBatch, capped at half
+  // the victim's backlog): the first task is returned, the surplus is
+  // re-homed into the stealer's own slab and deque so a fine-grained flood
+  // costs one sweep instead of one sweep per task. External threads (no
+  // own deque to bank into) keep the single steal.
   const std::size_t n = workers_.size();
   const std::size_t start = next_victim_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t want = (self != SIZE_MAX) ? kStealBatch : 1;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t victim = (start + k) % n;
     if (victim == self) continue;
     for (;;) {
-      node = nullptr;
-      const StealResult result = workers_[victim]->deque.steal(node);
-      if (result == StealResult::kStolen) {
-        PDC_OBS_COUNT("pdc.pool.stolen");
-        out = std::move(node->fn);
-        TaskSlab::release(node, /*owner=*/false);
+      TaskNode* nodes[kStealBatch];
+      StealResult last = StealResult::kEmpty;
+      const std::size_t got =
+          workers_[victim]->deque.steal_batch(nodes, want, &last);
+      if (got > 0) {
+        PDC_OBS_COUNT("pdc.steal.stolen", got);
+        if (got > 1) PDC_OBS_HIST("pdc.steal.batch", got);
+        out = std::move(nodes[0]->fn);
+        TaskSlab::release(nodes[0], /*owner=*/false);
+        // Surplus: move each closure into a node from OUR slab and push it
+        // onto OUR deque (owner-side, no CAS); the victim's nodes go back
+        // through its remote-free stack. pending_ is untouched — the tasks
+        // merely changed queues, none completed. got > 1 implies a worker
+        // (external threads request want == 1), so workers_[self] is valid.
+        if (got > 1) {
+          Worker& mine = *workers_[self];
+          for (std::size_t i = 1; i < got; ++i) {
+            TaskNode* rehomed = mine.slab.acquire();
+            rehomed->fn = std::move(nodes[i]->fn);
+            TaskSlab::release(nodes[i], /*owner=*/false);
+            mine.deque.push(rehomed);
+          }
+          wake_one();  // banked work: let a parked peer help
+        }
         return true;
       }
-      if (result == StealResult::kEmpty) break;
+      if (last == StealResult::kEmpty) break;
       concurrency::cpu_relax();  // kLost: contended, try again immediately
     }
   }
   return false;
 }
 
+bool ThreadPool::run_one(std::size_t self) {
+  Task task;
+  if (!try_take(self, task)) return false;
+  PDC_OBS_COUNT("pdc.steal.run");
+  {
+    // The per-task store pair: running before, the saved word after
+    // (restored by the scope so nested helpers attribute correctly).
+    // External helper threads have no slot and skip both stores.
+    obs::ProfiledTask profiled(obs::Profiler::kTaskLabel);
+    task();
+    // Destroy the closure before the task counts as finished: whoever
+    // wait_idle() or shutdown() releases may free what it captured.
+    task.reset();
+  }
+  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Quiescent: release wait_idle() and, after close, the exiting
+    // workers. Under the lock — the waiter may destroy the pool the
+    // instant the predicate holds.
+    std::scoped_lock lock(idle_mutex_);
+    testkit::notify_all(idle_cv_);
+  }
+  return true;
+}
+
+void ThreadPool::help_while(const std::function<bool()>& done) {
+  const std::size_t self = inside_worker() ? t_worker_index : SIZE_MAX;
+  concurrency::Backoff backoff;
+  while (!done()) {
+    if (run_one(self)) {
+      backoff.reset();
+      continue;
+    }
+    testkit::spin_yield("pool.help");
+    backoff.step();  // spin/yield only: stay responsive to done()
+  }
+}
+
+void ThreadPool::wait_idle() {
+  PDC_CHECK_MSG(!inside_worker(), "wait_idle from a worker of the same pool");
+  concurrency::Backoff backoff;
+  while (pending_.load(std::memory_order_acquire) != 0) {
+    if (run_one(SIZE_MAX)) {
+      backoff.reset();
+      continue;
+    }
+    if (!backoff.park_ready()) {
+      testkit::spin_yield("pool.wait_idle");
+      backoff.step();
+      continue;
+    }
+    std::unique_lock lock(idle_mutex_);
+    testkit::wait_for(
+        lock, idle_cv_, kParkTimeout,
+        [&] { return pending_.load(std::memory_order_acquire) == 0; },
+        "pool.wait_idle.park");
+    backoff.reset();
+  }
+}
+
 void ThreadPool::worker_loop(std::size_t self) {
   t_worker_index = self;
   t_current_pool = this;
-  // Profiler slot: published with plain relaxed stores around each task
-  // (the "store pair" hot path); registration happens once per worker
-  // thread. Slots are keyed by name, so repeated pool construction reuses
+  // Profiler slot, published via the bound-slot helpers in run_one and
+  // try_take; slots are keyed by name so repeated pool construction reuses
   // them (see obs/profile.hpp).
   obs::WorkerSlot* slot = nullptr;
   if constexpr (obs::kObsEnabled) {
-    slot = obs::Profiler::instance().register_worker("pool.w" +
+    slot = obs::Profiler::instance().register_worker("steal.w" +
                                                      std::to_string(self));
     obs::Profiler::bind_current_thread(slot);
   }
   concurrency::Backoff backoff;
   for (;;) {
-    Task task;
-    if (try_take(self, task)) {
-      PDC_OBS_GAUGE_SUB("pdc.pool.queue_depth", 1);
-      if constexpr (obs::kObsEnabled) {
-        slot->publish(obs::WorkerState::kRunning, obs::Profiler::kTaskLabel);
-      }
-      {
-        obs::ScopedSpan span("pool.task");
-        obs::BlockTimer timer;
-        task();
-        timer.record("pdc.pool.task_us");
-      }
-      if constexpr (obs::kObsEnabled) {
-        slot->publish(obs::WorkerState::kIdle);
-      }
-      PDC_OBS_COUNT("pdc.pool.executed");
-      task.reset();  // drop closure state before signaling quiescence
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          closed_.load(std::memory_order_acquire)) {
-        // Possibly the last task after close: wake peers so they can exit.
-        std::scoped_lock lock(idle_mutex_);
-        testkit::notify_all(idle_cv_);
-      }
+    if (run_one(self)) {
       backoff.reset();
       continue;
     }
@@ -190,9 +257,10 @@ void ThreadPool::worker_loop(std::size_t self) {
       backoff.step();
       continue;
     }
-    // Bottom of the ladder: park on the idle CV. Re-check under the lock
-    // so a post between the last scan and the park cannot be lost; the
-    // timeout backstops the unlocked parked_ fast check in wake_one().
+    // Bottom of the ladder: park on the idle CV. Re-check the wake
+    // predicate under the lock so a post between our last scan and the
+    // park cannot be lost; the timeout is the liveness backstop for the
+    // (unlocked) parked_ fast check in wake_one().
     std::unique_lock lock(idle_mutex_);
     if (closed_.load(std::memory_order_acquire) ||
         pending_.load(std::memory_order_acquire) != 0) {
@@ -200,7 +268,7 @@ void ThreadPool::worker_loop(std::size_t self) {
       continue;
     }
     parked_.fetch_add(1, std::memory_order_release);
-    PDC_OBS_GAUGE_ADD("pdc.pool.parked_workers", 1);
+    PDC_OBS_GAUGE_ADD("pdc.steal.parked_workers", 1);
     if constexpr (obs::kObsEnabled) {
       slot->publish(obs::WorkerState::kParked);
     }
@@ -215,7 +283,7 @@ void ThreadPool::worker_loop(std::size_t self) {
       slot->publish(obs::WorkerState::kIdle);
     }
     parked_.fetch_sub(1, std::memory_order_release);
-    PDC_OBS_GAUGE_SUB("pdc.pool.parked_workers", 1);
+    PDC_OBS_GAUGE_SUB("pdc.steal.parked_workers", 1);
     backoff.reset();
   }
   if constexpr (obs::kObsEnabled) {

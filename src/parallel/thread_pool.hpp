@@ -1,20 +1,31 @@
-// Fixed-size thread pool: the "think in terms of tasks, not threads"
-// foundation (Core Guidelines CP.4, CP.41) used by parallel_for and the
-// task graph. Destruction joins all workers after draining submitted work.
+// The task scheduler: a fixed-size work-stealing pool, the "think in terms
+// of tasks, not threads" foundation (Core Guidelines CP.4, CP.41) under
+// parallel_for, the task graph, the parallel sorts and the event-driven
+// server. See docs/scheduler.md.
 //
-// Scheduling substrate (PR 3, see docs/scheduler.md): instead of funneling
-// every worker through one mutex+CV BoundedQueue, each worker owns a
-// lock-free ChaseLevDeque. Work posted from inside a worker goes to that
-// worker's deque (LIFO, no atomic RMW); work posted from outside enters a
-// bounded lock-free MPMC injection queue; idle workers steal from their
-// peers' deques before descending a spin → yield → park ladder. Task
-// closures travel in parallel::Task (64-byte inline storage) held by
-// pooled TaskSlab nodes, so `submit` no longer pays the
-// shared_ptr<packaged_task> + std::function double allocation and `post`
-// with a small closure allocates nothing at all.
+//  - each worker owns a lock-free ChaseLevDeque: work posted from inside a
+//    worker goes to the bottom of its own deque (LIFO, preserving locality
+//    of the most recently forked subproblem) with no atomic RMW; idle
+//    workers steal from the top (FIFO, the largest pending subtree) in
+//    batches of up to half the victim's backlog;
+//  - work posted from outside enters a bounded lock-free MPMC injection
+//    queue; a full queue is backpressure, not failure;
+//  - task closures travel in parallel::Task (64-byte inline storage) held
+//    by per-worker TaskSlab nodes, so post/steal/run allocates nothing in
+//    steady state;
+//  - idle workers descend a spin → yield → park ladder; the park is a
+//    testkit-instrumented timed wait, so the SimScheduler can drive it.
+//
+// `help_while` lets a blocked parent execute other tasks instead of
+// idling — the work-first principle of Cilk-style schedulers — which is
+// how fork/join stays deadlock-free when a worker waits on its own pool.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -33,11 +44,8 @@ namespace pdc::parallel {
 class ThreadPool {
  public:
   /// `threads == 0` uses the hardware concurrency (at least 1).
-  /// Worker-local queues grow without bound, so tasks that schedule
-  /// further tasks — the task-graph executor does — can never deadlock
-  /// the pool by blocking on their own queue. The external injection
-  /// queue is bounded; a non-worker caller that finds it full backs off
-  /// until the workers drain it (backpressure, not failure).
+  /// Worker-local deques grow without bound, so tasks that schedule
+  /// further tasks can never block on their own queue.
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains queued tasks, then joins every worker (no detach; CP.26).
@@ -73,9 +81,22 @@ class ThreadPool {
 
   /// Fire-and-forget variant for void work the caller synchronizes itself
   /// (e.g. via a latch); with a small closure this allocates nothing.
+  /// From a worker the task goes to that worker's own deque; from outside
+  /// it goes to the injection queue, backing off while that is full.
   /// Returns kClosed (instead of throwing, unlike submit) after shutdown —
   /// fire-and-forget callers during teardown have nowhere to catch.
   support::Status post(Task fn);
+
+  /// Runs tasks until `done()` returns true. Callable from worker threads
+  /// (a fork/join parent waiting on its children) and from outside.
+  /// Spins/yields but never parks — the caller must stay responsive to
+  /// `done`.
+  void help_while(const std::function<bool()>& done);
+
+  /// Blocks until every accepted task has finished and its closure has
+  /// been destroyed (quiescence); the calling thread helps run tasks.
+  /// Not callable from a worker of this pool (its own task never ends).
+  void wait_idle();
 
   /// Drains queued tasks and joins every worker. Idempotent; called by the
   /// destructor. After shutdown, `submit` throws and `post` returns
@@ -86,6 +107,12 @@ class ThreadPool {
 
   /// True when called from one of this pool's worker threads.
   [[nodiscard]] bool inside_worker() const;
+
+  /// Workers currently parked in the idle wait (diagnostics; also exported
+  /// as the pdc.steal.parked_workers gauge).
+  [[nodiscard]] std::size_t parked_workers() const {
+    return parked_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One worker's scheduling state, cache-line separated from its peers.
@@ -101,8 +128,14 @@ class ThreadPool {
 
   void worker_loop(std::size_t self);
 
-  /// Takes one task: own deque bottom → injection queue → steal sweep.
+  /// Takes one task: own deque bottom, then the injection queue, then
+  /// steal from the top of a rotating sweep of victims. `self` is
+  /// SIZE_MAX for external threads (no own deque, single steals).
   bool try_take(std::size_t self, Task& out);
+
+  /// Runs one task if any is available anywhere. Returns false when all
+  /// sources were observed empty.
+  bool run_one(std::size_t self);
 
   /// Wakes one parked worker if any (cheap relaxed check when none).
   void wake_one();

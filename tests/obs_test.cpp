@@ -33,7 +33,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -96,32 +95,29 @@ TEST(Metrics, HistogramBucketsPowersOfTwo) {
   EXPECT_EQ(sample->buckets[7], 1u);
 }
 
-// The pool's queue-depth gauge must balance: +1 per accepted task, -1 per
-// dequeue. Before PR 3 the add happened before the accept decision, so a
-// rejected post could leave the gauge permanently skewed; now acceptance
-// and accounting are one step. At quiescence the value must read 0 while
-// the high-water mark proves tasks were actually in flight.
-TEST(Metrics, PoolQueueDepthGaugeBalancesToZero) {
+// The scheduler counters count accepted posts only: every accepted task
+// is counted once as spawned and once as run, and a post refused after
+// shutdown moves neither.
+TEST(Metrics, PoolCountsOnlyAcceptedPosts) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
-  auto& gauge = MetricsRegistry::instance().gauge("pdc.pool.queue_depth");
-  gauge.reset();
+  auto& spawned = MetricsRegistry::instance().counter("pdc.steal.spawned");
+  auto& run = MetricsRegistry::instance().counter("pdc.steal.run");
+  const std::uint64_t spawned_before = spawned.total();
+  const std::uint64_t run_before = run.total();
   {
     pdc::parallel::ThreadPool pool(2);
     std::atomic<int> count{0};
+    std::uint64_t accepted = 0;
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(pool.post([&count] { count.fetch_add(1); }).is_ok());
+      if (pool.post([&count] { count.fetch_add(1); }).is_ok()) ++accepted;
     }
     pool.shutdown();  // drains: every accepted task executes
+    EXPECT_EQ(accepted, 200u);
     EXPECT_EQ(count.load(), 200);
-    // Posts after shutdown are refused and must not move the gauge.
     EXPECT_FALSE(pool.post([] {}).is_ok());
+    EXPECT_EQ(spawned.total() - spawned_before, accepted);
+    EXPECT_EQ(run.total() - run_before, accepted);
   }
-  EXPECT_EQ(gauge.value(), 0);
-  EXPECT_GT(gauge.high_water(), 0);
-  const auto snapshot = MetricsRegistry::instance().scrape();
-  const auto* sample = snapshot.find("pdc.pool.queue_depth");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->value, 0);
 }
 
 TEST(Metrics, ScrapeJsonContainsRegisteredMetrics) {
@@ -403,7 +399,7 @@ TEST(Quantiles, EdgeCases) {
 
 // Owner-side pushes feed both the aggregate deque-depth histogram and the
 // per-worker one registered at pool construction.
-TEST(Metrics, PoolsExportPerWorkerDequeDepth) {
+TEST(Metrics, PoolExportsPerWorkerDequeDepth) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
   MetricsRegistry::instance().reset();
   {
@@ -417,31 +413,15 @@ TEST(Metrics, PoolsExportPerWorkerDequeDepth) {
         .get();
     while (done.load() < 8) std::this_thread::yield();
   }
-  {
-    parallel::WorkStealingPool pool(2);
-    std::atomic<int> done{0};
-    pool.spawn([&] {
-      for (int i = 0; i < 8; ++i) {
-        pool.spawn([&] { done.fetch_add(1); });
-      }
-    });
-    // Don't wait_idle() while the children are in flight: the caller helps
-    // run tasks there, which would turn the inner spawns into external
-    // injections instead of owner pushes.
-    while (done.load() < 8) std::this_thread::yield();
-    EXPECT_EQ(done.load(), 8);
-  }
   const auto snapshot = MetricsRegistry::instance().scrape();
-  for (const char* prefix : {"pdc.pool.deque_depth", "pdc.steal.deque_depth"}) {
-    const auto* aggregate = snapshot.find(prefix);
-    ASSERT_NE(aggregate, nullptr) << prefix;
-    EXPECT_EQ(aggregate->count, 8u) << prefix;  // one record per owner push
-    const auto* w0 = snapshot.find(std::string(prefix) + ".w0");
-    const auto* w1 = snapshot.find(std::string(prefix) + ".w1");
-    ASSERT_NE(w0, nullptr) << prefix;
-    ASSERT_NE(w1, nullptr) << prefix;
-    EXPECT_EQ(w0->count + w1->count, aggregate->count) << prefix;
-  }
+  const auto* aggregate = snapshot.find("pdc.steal.deque_depth");
+  ASSERT_NE(aggregate, nullptr);
+  EXPECT_EQ(aggregate->count, 8u);  // one record per owner push
+  const auto* w0 = snapshot.find("pdc.steal.deque_depth.w0");
+  const auto* w1 = snapshot.find("pdc.steal.deque_depth.w1");
+  ASSERT_NE(w0, nullptr);
+  ASSERT_NE(w1, nullptr);
+  EXPECT_EQ(w0->count + w1->count, aggregate->count);
 }
 
 // ------------------------------------------------- dist protocol traces
@@ -1163,6 +1143,38 @@ TEST(Federation, AggregatorRunsEventDriven) {
   EXPECT_NE(body.find("ev_hits{rank=\"1\"} 4"), std::string::npos);
   EXPECT_EQ(aggregator.federate().counter("ev.hits"), 7u);
   client.close();
+}
+
+// An unreachable target is a scrape error on every federation path; a
+// reachable one answering an error JSON (no collector, no monitor) is a
+// plain skip.
+TEST(Federation, UnreachableTargetCountsAsScrapeErrorOnEveryPath) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  obs::MetricsRegistry r0;
+  r0.counter("up.hits").inc(2);
+  net::Network net(3, fast_net());
+  obs::TelemetryConfig c0;
+  c0.registry = &r0;
+  obs::TelemetryServer s0(net, 0, 9100, c0);
+  const net::Address nobody{1, 9100};  // nothing listens there
+  obs::Aggregator aggregator(net, 2, 9200, {{s0.address(), "0"}, {nobody, "1"}});
+  auto& errors = obs::MetricsRegistry::instance().counter("pdc.fed.scrape_errors");
+
+  std::uint64_t before = errors.total();
+  EXPECT_EQ(aggregator.federate().counter("up.hits"), 2u);
+  EXPECT_EQ(errors.total() - before, 1u) << "federate";
+
+  before = errors.total();
+  (void)aggregator.federate_profiles();
+  EXPECT_EQ(errors.total() - before, 1u) << "federate_profiles";
+
+  before = errors.total();
+  EXPECT_TRUE(aggregator.federate_traces(4).empty());
+  EXPECT_EQ(errors.total() - before, 1u) << "federate_traces";
+
+  before = errors.total();
+  EXPECT_TRUE(aggregator.federate_alerts().empty());
+  EXPECT_EQ(errors.total() - before, 1u) << "federate_alerts";
 }
 
 TEST(Federation, ControlVerbsResetAndSnapshotNow) {

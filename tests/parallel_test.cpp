@@ -1,13 +1,16 @@
-// Tests for pdc::parallel: thread pool, work stealing, parallel_for
+// Tests for pdc::parallel: the work-stealing thread pool, parallel_for
 // schedules, reductions, scans, task graph analytics, parallel sorts.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "concurrency/barrier.hpp"
 #include "parallel/parallel_for.hpp"
@@ -16,7 +19,6 @@
 #include "parallel/task.hpp"
 #include "parallel/task_graph.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -189,35 +191,76 @@ TEST(ThreadPool, PostAfterShutdownReturnsClosed) {
   EXPECT_EQ(status.code(), pdc::support::StatusCode::kClosed);
 }
 
-// ------------------------------------------------------------ work stealing
+// ------------------------------------------------- fork/join, quiescence
 
-TEST(WorkStealing, RunsAllSpawnedTasks) {
-  WorkStealingPool pool(3);
+TEST(ThreadPool, WaitIdleRunsAllPostedTasks) {
+  ThreadPool pool(3);
   std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) pool.spawn([&] { ++count; });
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(pool.post([&] { ++count; }).is_ok());
   pool.wait_idle();
   EXPECT_EQ(count.load(), 1000);
 }
 
-TEST(WorkStealing, NestedSpawnsComplete) {
-  WorkStealingPool pool(2);
+TEST(ThreadPool, NestedPostsComplete) {
+  ThreadPool pool(2);
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
-    pool.spawn([&] {
-      for (int j = 0; j < 10; ++j) pool.spawn([&] { ++count; });
-    });
+    ASSERT_TRUE(pool.post([&] {
+      for (int j = 0; j < 10; ++j) (void)pool.post([&] { ++count; });
+    }).is_ok());
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(WorkStealing, SizeOnePoolStillJoinsForks) {
-  WorkStealingPool pool(1);
+TEST(ThreadPool, SizeOnePoolStillJoinsForks) {
+  ThreadPool pool(1);
   std::vector<int> v(20000);
   pdc::support::Rng rng(3);
   for (auto& x : v) x = static_cast<int>(rng.uniform_int(0, 1 << 20));
   parallel_merge_sort(pool, v, 256);
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+}
+
+/// Sets `*flag` from its destructor, 20 ms late, so a waiter that returns
+/// before the closure holding it is destroyed sees the flag still false.
+class SlowDestructor {
+ public:
+  explicit SlowDestructor(std::atomic<bool>* flag) : flag_(flag) {}
+  SlowDestructor(SlowDestructor&& other) noexcept
+      : flag_(std::exchange(other.flag_, nullptr)) {}
+  SlowDestructor& operator=(SlowDestructor&&) = delete;
+  ~SlowDestructor() {
+    if (flag_ == nullptr) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    flag_->store(true);
+  }
+
+ private:
+  std::atomic<bool>* flag_;
+};
+
+// wait_idle() and shutdown() return only after every task's closure is
+// destroyed: the closure may hold the last reference to something the
+// waiter frees next.
+TEST(ThreadPool, ClosuresAreDestroyedBeforeWaitIdleAndShutdownReturn) {
+  for (const bool via_shutdown : {false, true}) {
+    ThreadPool pool(1);
+    std::atomic<bool> started{false};
+    std::atomic<bool> destroyed{false};
+    ASSERT_TRUE(pool.post([&started, guard = SlowDestructor(&destroyed)] {
+      started = true;
+    }).is_ok());
+    // Wait until the worker runs it, so the caller cannot help run (and
+    // destroy) the task itself.
+    while (!started.load()) std::this_thread::yield();
+    if (via_shutdown) {
+      pool.shutdown();
+    } else {
+      pool.wait_idle();
+    }
+    EXPECT_TRUE(destroyed.load()) << (via_shutdown ? "shutdown" : "wait_idle");
+  }
 }
 
 // ------------------------------------------------------------- parallel_for
@@ -297,6 +340,64 @@ TEST(ParallelFor, WorksFromInsideAWorker) {
     return n.load();
   });
   EXPECT_EQ(f.get(), 100);
+}
+
+/// Runs `body` in one task per worker of a fresh `threads`-sized pool and
+/// waits for all of them with a deadline; false when any missed it. A
+/// pool whose tasks hang is leaked rather than joined, so a deadlock fails
+/// the test instead of hanging the suite.
+template <typename Body>
+bool every_worker_finishes(std::size_t threads, Body body) {
+  auto pool = std::make_unique<ThreadPool>(threads);
+  std::vector<std::future<void>> done;
+  for (std::size_t w = 0; w < threads; ++w) {
+    done.push_back(pool->submit([raw = pool.get(), body] { body(*raw); }));
+  }
+  for (auto& f : done) {
+    if (f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      (void)pool.release();
+      return false;
+    }
+    f.get();
+  }
+  return true;
+}
+
+// A loop issued from a worker onto its own pool joins by helping: its
+// runners sit in its own deque while every peer is busy the same way.
+TEST(ParallelFor, NestedOnItsOwnPoolCompletes) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const bool finished = every_worker_finishes(threads, [](ThreadPool& pool) {
+      std::atomic<int> n{0};
+      parallel_for(pool, 0, 100, [&](std::size_t) { ++n; });
+      EXPECT_EQ(n.load(), 100);
+    });
+    ASSERT_TRUE(finished) << "parallel_for deadlocked on " << threads << " threads";
+  }
+}
+
+// Runners a shut-down pool refuses are covered by the calling thread.
+TEST(ParallelFor, OnAShutDownPoolRunsOnTheCaller) {
+  ThreadPool pool(2);
+  pool.shutdown();
+  std::atomic<int> n{0};
+  parallel_for(pool, 0, 100, [&](std::size_t) { ++n; });
+  EXPECT_EQ(n.load(), 100);
+}
+
+TEST(TaskGraph, RunFromAWorkerOfItsOwnPoolCompletes) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const bool finished = every_worker_finishes(threads, [](ThreadPool& pool) {
+      std::atomic<int> ran{0};
+      TaskGraph graph;
+      const TaskId a = graph.add_task("a", 1.0, [&] { ++ran; });
+      const TaskId b = graph.add_task("b", 1.0, [&] { ++ran; });
+      graph.add_dependency(a, b);
+      EXPECT_TRUE(graph.run(pool).is_ok());
+      EXPECT_EQ(ran.load(), 2);
+    });
+    ASSERT_TRUE(finished) << "TaskGraph::run deadlocked on " << threads << " threads";
+  }
 }
 
 TEST(ParallelReduce, SumMatchesSerial) {
@@ -560,7 +661,7 @@ class ParallelSortTest : public ::testing::TestWithParam<SortCase> {};
 
 TEST_P(ParallelSortTest, MergeSortSorts) {
   const auto [name, n, cutoff] = GetParam();
-  WorkStealingPool pool(3);
+  ThreadPool pool(3);
   pdc::support::Rng rng(42);
   std::vector<int> v(n);
   for (auto& x : v) x = static_cast<int>(rng.uniform_int(-1000000, 1000000));
@@ -572,7 +673,7 @@ TEST_P(ParallelSortTest, MergeSortSorts) {
 
 TEST_P(ParallelSortTest, QuickSortSorts) {
   const auto [name, n, cutoff] = GetParam();
-  WorkStealingPool pool(3);
+  ThreadPool pool(3);
   pdc::support::Rng rng(43);
   std::vector<int> v(n);
   for (auto& x : v) x = static_cast<int>(rng.uniform_int(-1000000, 1000000));
@@ -590,7 +691,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return info.param.name; });
 
 TEST(ParallelSort, HandlesDuplicatesAndSortedInput) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::vector<int> dup(10000, 7);
   parallel_quick_sort(pool, dup, 128);
   EXPECT_TRUE(std::is_sorted(dup.begin(), dup.end()));
@@ -609,7 +710,7 @@ TEST(ParallelSort, HandlesDuplicatesAndSortedInput) {
 }
 
 TEST(ParallelSort, CustomComparator) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   std::vector<int> v{5, 3, 9, 1, 4};
   parallel_merge_sort(pool, v, 2, std::greater<int>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<int>{}));
@@ -618,7 +719,8 @@ TEST(ParallelSort, CustomComparator) {
 // ------------------------------------------------- lock-free scheduler path
 
 // External (non-worker) posts travel through the bounded injection queue;
-// flooding it far past its capacity must apply backpressure, not drop work.
+// flooding it far past its capacity must apply backpressure, not drop work
+// — whether the flood is joined by wait_idle() or by shutdown().
 TEST(ThreadPool, ExternalFloodBeyondInjectionCapacityRunsEverything) {
   ThreadPool pool(2);
   constexpr int kTasks = 10000;  // > injection capacity (4096)
@@ -626,8 +728,13 @@ TEST(ThreadPool, ExternalFloodBeyondInjectionCapacityRunsEverything) {
   for (int i = 0; i < kTasks; ++i) {
     ASSERT_TRUE(pool.post([&count] { count.fetch_add(1); }).is_ok());
   }
-  pool.shutdown();  // drains before joining
+  pool.wait_idle();
   EXPECT_EQ(count.load(), kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(pool.post([&count] { count.fetch_add(1); }).is_ok());
+  }
+  pool.shutdown();  // drains before joining
+  EXPECT_EQ(count.load(), 2 * kTasks);
 }
 
 // Worker-side posts go to the poster's own deque (unbounded), so recursive
@@ -651,22 +758,11 @@ TEST(ThreadPool, RecursivePostsFromWorkersComplete) {
   EXPECT_EQ(count.load(), kExpected);
 }
 
-TEST(WorkStealing, ExternalSpawnFloodBeyondInjectionCapacity) {
-  WorkStealingPool pool(2);
-  constexpr int kTasks = 10000;  // > injection capacity (4096)
-  std::atomic<int> count{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.spawn([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), kTasks);
-}
-
-TEST(WorkStealing, ParkedWorkersGaugeReturnsToZeroAfterWork) {
-  WorkStealingPool pool(2);
+TEST(ThreadPool, ParkedWorkersNeverExceedPoolSize) {
+  ThreadPool pool(2);
   std::atomic<int> count{0};
   for (int i = 0; i < 64; ++i) {
-    pool.spawn([&count] { count.fetch_add(1); });
+    ASSERT_TRUE(pool.post([&count] { count.fetch_add(1); }).is_ok());
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 64);
