@@ -8,6 +8,10 @@
 //   2. fork/join latency: a binary task tree forked from inside workers —
 //      the owner push/pop fast path plus the steal path, the shape
 //      parallel sorts and task graphs generate.
+//   3. hot-owner flood: every task lands in one worker's deque.
+//   4. idle handoff: a trickle of short tasks from an outside thread, so
+//      workers go idle between tasks; reported as worker CPU per task —
+//      what parking and waking costs on top of the task's own ~3 us.
 //
 // The baseline pool below deliberately reproduces the pre-PR-3 scheduler:
 // one std::mutex per worker deque, std::function tasks, lock-the-victim
@@ -18,6 +22,8 @@
 //
 // JSON via PDCKIT_BENCH_JSON (obs::BenchReport); compared across commits
 // by bench/compare.py against BENCH_baseline.json.
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -30,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrency/backoff.hpp"
 #include "obs/bench_report.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/stopwatch.hpp"
@@ -234,6 +241,50 @@ double hot_owner_flood_per_second(Pool& pool) {
   return kFlood / seconds;
 }
 
+/// CPU time (user + system) of the process or of the calling thread.
+double cpu_us(int who) {
+  rusage usage{};
+  getrusage(who, &usage);
+  const auto us = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e6 + static_cast<double>(t.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+/// Idle-handoff probe: an outside feeder posts one ~3 us task every
+/// `period_us` to a 2-worker pool, so every task finds the workers idle.
+/// Returns worker CPU per task: process CPU minus the feeder thread's own
+/// (it spins to keep the period exact, and never helps run tasks).
+double idle_handoff_cpu_us_per_task(int period_us) {
+  constexpr int kTasks = 3000;
+  constexpr auto kWork = std::chrono::microseconds(3);
+  pdc::parallel::ThreadPool pool(2);
+  std::atomic<int> done{0};
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let workers settle
+  const double process_before = cpu_us(RUSAGE_SELF);
+  const double feeder_before = cpu_us(RUSAGE_THREAD);
+  auto next = std::chrono::steady_clock::now();
+  for (int i = 0; i < kTasks; ++i) {
+    next += std::chrono::microseconds(period_us);
+    while (std::chrono::steady_clock::now() < next) {
+      pdc::concurrency::cpu_relax();
+    }
+    (void)pool.post([&done, kWork] {
+      const auto until = std::chrono::steady_clock::now() + kWork;
+      while (std::chrono::steady_clock::now() < until) {
+        pdc::concurrency::cpu_relax();
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  while (done.load(std::memory_order_acquire) != kTasks) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const double feeder = cpu_us(RUSAGE_THREAD) - feeder_before;
+  const double process = cpu_us(RUSAGE_SELF) - process_before;
+  return (process - feeder) / kTasks;
+}
+
 std::string tkey(std::size_t threads) {
   return "t" + std::to_string(threads);
 }
@@ -255,6 +306,10 @@ int main() {
       "3. Hot-owner flood (tasks/s; thieves batch-steal half the backlog)");
   flood_table.set_header(
       {"threads", "mutexed deques", "lock-free", "speedup"});
+  TextTable handoff_table(
+      "4. Idle handoff (2 workers, one ~3 us task per period from outside; "
+      "worker CPU us per task, lower better)");
+  handoff_table.set_header({"period", "worker CPU per task"});
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
@@ -323,6 +378,21 @@ int main() {
   std::cout << "(all tasks land in one worker's deque; peers batch-steal up "
                "to half the backlog per sweep — see docs/scheduler.md, 'Why "
                "steal-half is a loop, not one CAS')\n";
+
+  std::cout << "\n";
+  for (const int period_us : {50, 200}) {
+    const double cpu = idle_handoff_cpu_us_per_task(period_us);
+    report.add_metric("idle_handoff.lockfree.every" +
+                          std::to_string(period_us) + "us.cpu_per_task.us",
+                      cpu);
+    handoff_table.add_row({std::to_string(period_us) + " us",
+                           TextTable::num(cpu, 1) + " us"});
+  }
+  handoff_table.render(std::cout);
+  report.add_table(handoff_table);
+  std::cout << "(the task itself is ~3 us; the rest is spinning before a "
+               "park and the wake that follows — see docs/scheduler.md, "
+               "'Idle workers')\n";
 
   report.write_if_requested();
   return 0;

@@ -10,7 +10,10 @@
 //   phase 2  yield  — `std::this_thread::yield()`, giving the OS scheduler
 //                     a chance to run whoever owns the work;
 //   phase 3  park   — `park_ready()` turns true; the caller takes its slow
-//                     path (condition-variable wait with a timeout).
+//                     path (a condition-variable wait).
+//
+// A zero `yield_limit` makes the ladder spin → park; parallel::ThreadPool
+// workers use that, since on an idle host a yield returns at once.
 //
 // Backoff itself never blocks — parking needs a queue-specific predicate
 // and a testkit-instrumented wait, so it stays in the caller (see

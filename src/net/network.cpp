@@ -13,13 +13,16 @@ using support::StatusCode;
 
 namespace {
 
-/// Enqueues the watcher's tag if registered and not already queued.
-/// Caller holds the watched endpoint's mutex; ReadySet's own mutex nests
-/// inside it (the one watch-side lock order: endpoint mutex → set mutex).
+/// Signals the watcher's tag if registered and not already queued.
+/// Caller holds the watched endpoint's mutex, and the watcher's locks nest
+/// inside it: endpoint mutex → ReadySet mutex for a polling loop, and
+/// endpoint mutex → shard mutex → pool idle mutex for the event-driven
+/// server, which routes the tag into its shard and posts a drain. Nothing
+/// may take an endpoint mutex while holding one of those.
 void signal_watch(WatchState& watch) {
-  if (watch.set != nullptr && !watch.queued) {
+  if (watch.watcher != nullptr && !watch.queued) {
     watch.queued = true;
-    watch.set->push(watch.tag);
+    watch.watcher->on_ready(watch.tag);
   }
 }
 
@@ -171,11 +174,11 @@ StreamSocket::Drained StreamSocket::try_recv_into(Bytes& out) {
   return drained;
 }
 
-void StreamSocket::watch(ReadySet* set, std::uint64_t tag) {
+void StreamSocket::watch(ReadyWatcher* watcher, std::uint64_t tag) {
   PDC_CHECK(valid());
   Half& half = inbound();
   std::scoped_lock lock(half.mutex);
-  half.watch.set = set;
+  half.watch.watcher = watcher;
   half.watch.tag = tag;
   half.watch.queued = false;
   if (half.available() != 0 || half.closed) signal_watch(half.watch);
@@ -195,7 +198,7 @@ void StreamSocket::unwatch() {
   if (!valid()) return;
   Half& half = inbound();
   std::scoped_lock lock(half.mutex);
-  half.watch.set = nullptr;
+  half.watch.watcher = nullptr;
   half.watch.queued = false;
 }
 
@@ -243,9 +246,9 @@ support::Result<StreamSocket> Listener::try_accept() {
   return socket;
 }
 
-void Listener::watch(ReadySet* set, std::uint64_t tag) {
+void Listener::watch(ReadyWatcher* watcher, std::uint64_t tag) {
   std::scoped_lock lock(mutex_);
-  watch_.set = set;
+  watch_.watcher = watcher;
   watch_.tag = tag;
   watch_.queued = false;
   if (!pending_.empty() || closed_) signal_watch(watch_);
@@ -259,7 +262,7 @@ void Listener::rearm() {
 
 void Listener::unwatch() {
   std::scoped_lock lock(mutex_);
-  watch_.set = nullptr;
+  watch_.watcher = nullptr;
   watch_.queued = false;
 }
 
@@ -465,8 +468,8 @@ void Network::connect_async(
           std::scoped_lock net_lock(mutex_);
           auto it = listeners_.find(to);
           if (it != listeners_.end()) {
-            // Listener delivery only takes its own mutex (no lock-order
-            // issue nesting inside the net mutex).
+            // Listener delivery takes its own mutex and what its watcher
+            // takes (never the net mutex), so it nests inside this one.
             it->second->deliver(std::move(server));
             delivered = true;
           }

@@ -27,11 +27,13 @@
 // measured and not adopted.
 //
 // Readiness (event-driven servers): a StreamSocket or Listener can be
-// *watched* by a ReadySet. Arriving bytes, a peer close, or a pending
-// accept enqueue the socket's tag exactly once; the owner drains tags in
-// batches with ReadySet::poll, consumes the socket non-blockingly
-// (try_recv_into / try_accept), and re-arms. rearm() re-enqueues the tag
-// if data raced in while the owner was consuming, so no wakeup is lost.
+// *watched* by a ReadyWatcher. Arriving bytes, a peer close, or a pending
+// accept signal the socket's tag exactly once, on the thread that made it
+// ready; the owner consumes the socket non-blockingly (try_recv_into /
+// try_accept) and re-arms. rearm() re-signals the tag if data raced in
+// while the owner was consuming, so no wakeup is lost. ReadySet is the
+// watcher for a polling loop (it batches tags for ReadySet::poll); the
+// event-driven net::Server routes each signal straight into a shard.
 #pragma once
 
 #include <atomic>
@@ -73,12 +75,24 @@ struct NetConfig {
 };
 
 class Network;
-class ReadySet;
+
+/// Receiver of readiness signals from watched endpoints. on_ready(tag)
+/// runs on the thread that made the endpoint ready — the fabric
+/// dispatcher, or an owner calling watch()/rearm() — with the endpoint's
+/// mutex held, so it must not block and must not call back into that
+/// endpoint. Lock order: endpoint mutex → whatever on_ready takes.
+class ReadyWatcher {
+ public:
+  virtual void on_ready(std::uint64_t tag) = 0;
+
+ protected:
+  ~ReadyWatcher() = default;
+};
 
 /// Registration of one watched endpoint (guarded by the endpoint's mutex).
-/// `queued` keeps each tag enqueued at most once between rearm()s.
+/// `queued` keeps each tag signalled at most once between rearm()s.
 struct WatchState {
-  ReadySet* set = nullptr;
+  ReadyWatcher* watcher = nullptr;
   std::uint64_t tag = 0;
   bool queued = false;
 };
@@ -88,11 +102,13 @@ struct WatchState {
 /// accumulated batch to the loop in one call (one wakeup can carry
 /// thousands of ready connections). Tags are just integers — a tag for an
 /// endpoint the consumer already closed is harmless and simply ignored.
-class ReadySet {
+class ReadySet final : public ReadyWatcher {
  public:
   ReadySet() = default;
   ReadySet(const ReadySet&) = delete;
   ReadySet& operator=(const ReadySet&) = delete;
+
+  void on_ready(std::uint64_t tag) override { push(tag); }
 
   /// Blocks up to `timeout` for at least one ready tag (or a wake()),
   /// appends the whole batch to `out`, and returns how many were added.
@@ -191,16 +207,18 @@ class StreamSocket {
   /// `closed` is set (a FIN behind buffered data).
   Drained try_recv_into(Bytes& out);
 
-  /// Registers this socket's inbound direction with a ReadySet: `tag` is
-  /// enqueued when data or a close is (or becomes) available. One watcher
-  /// per socket; watching again replaces the previous registration.
-  void watch(ReadySet* set, std::uint64_t tag);
+  /// Registers this socket's inbound direction with a watcher: `tag` is
+  /// signalled when data or a close is (or becomes) available — at once,
+  /// on this thread, if it already is. One watcher per socket; watching
+  /// again replaces the previous registration.
+  void watch(ReadyWatcher* watcher, std::uint64_t tag);
 
-  /// Clears the queued-flag and re-enqueues the tag if the socket became
+  /// Clears the queued-flag and re-signals the tag if the socket became
   /// ready while the owner was consuming it. Call after each drain.
   void rearm();
 
-  /// Removes the ReadySet registration (before destroying the ReadySet).
+  /// Removes the registration (before destroying the watcher). Once it
+  /// returns, no on_ready call for this socket is running or will start.
   void unwatch();
 
   /// Closes this direction; the peer's recv drains then reports kClosed.
@@ -277,9 +295,9 @@ class Listener {
   /// after shutdown() once the backlog is drained.
   support::Result<StreamSocket> try_accept();
 
-  /// ReadySet registration mirroring StreamSocket::watch/rearm: the tag is
-  /// enqueued when a connection is (or becomes) pending.
-  void watch(ReadySet* set, std::uint64_t tag);
+  /// Watcher registration mirroring StreamSocket::watch/rearm/unwatch:
+  /// the tag is signalled when a connection is (or becomes) pending.
+  void watch(ReadyWatcher* watcher, std::uint64_t tag);
   void rearm();
   void unwatch();
 

@@ -14,19 +14,29 @@ using support::StatusCode;
 
 // ----------------------------------------------------------------EventEngine
 //
-// The event-driven model. One acceptor thread runs the readiness loop:
-// it polls a ReadySet shared by the listener (tag 0) and every connection
-// (tag = connection id), so a single poll() carries an entire batch of
-// ready endpoints. Connections are sharded by id; the loop routes each
-// ready id into its shard's run queue and schedules at most one drain
-// task per shard on the work-stealing pool (the `scheduled` flag). The
-// drain task swap-takes the queue, drains each connection non-blockingly,
-// parses frames zero-copy in place, runs the handler inline, and re-arms
-// the socket — rearm() re-enqueues the tag if bytes raced in, so no
-// wakeup is lost. Per-connection processing is serialized by construction
-// (one drain task per shard), so connection state needs no lock beyond
-// the shard map's.
-struct Server::EventEngine {
+// The event-driven model has no thread of its own. The engine is the
+// ReadyWatcher of the listener (tag 0) and of every connection (tag =
+// connection id), so readiness is handled on the thread that caused it:
+// the fabric dispatcher delivering bytes, a FIN or a SYN, or a pool worker
+// re-arming a socket it just drained. A connection's signal routes its id
+// into its shard's run queue and schedules at most one drain task per
+// shard on the work-stealing pool (the `scheduled` flag). A listener
+// signal posts the accept task; that is single-flight because the
+// listener stays disarmed until the task re-arms it. The drain task
+// swap-takes the queue, drains each connection non-blockingly, parses
+// frames zero-copy in place, runs the handler inline, and re-arms the
+// socket — rearm() re-signals if bytes raced in, so no wakeup is lost.
+// Per-connection processing is serialized by construction (one drain task
+// per shard), so connection state needs no lock beyond the shard map's.
+// A request costs four thread handoffs: client → dispatcher (request
+// bytes) → pool worker (drain) → dispatcher (reply bytes) → client.
+//
+// Lock order: endpoint mutex (a stream half or the listener) → shard
+// mutex → pool idle mutex, because on_ready runs under the endpoint's
+// mutex. So nothing here touches a socket while it holds a shard mutex.
+// accept_mutex serializes the accept task against shutdown and nests
+// outside all three.
+struct Server::EventEngine final : ReadyWatcher {
   static constexpr std::uint64_t kListenerTag = 0;
 
   struct Conn {
@@ -58,33 +68,24 @@ struct Server::EventEngine {
             "pdc.server.inflight", {{"shard", std::to_string(i)}});
       }
     }
-    server.listener_->watch(&ready_set, kListenerTag);
+    server.listener_->watch(this, kListenerTag);
   }
 
   Shard& shard_of(std::uint64_t id) { return *shards[id % shard_count]; }
 
-  /// Readiness loop (runs on the Server's acceptor thread).
-  void loop() {
-    std::vector<std::uint64_t> tags;
-    while (!stopping.load(std::memory_order_acquire)) {
-      tags.clear();
-      ready_set.poll(tags, std::chrono::milliseconds(50));
-      if (stopping.load(std::memory_order_acquire)) return;
-      if (tags.empty()) continue;
-      PDC_OBS_HIST("pdc.server.ready_batch",
-                   static_cast<std::uint64_t>(tags.size()));
-      for (const std::uint64_t tag : tags) {
-        if (tag == kListenerTag) {
-          accept_burst();
-        } else {
-          route(tag);
-        }
-      }
+  void on_ready(std::uint64_t tag) override {
+    if (tag == kListenerTag) {
+      // Refused only once the pool is shut down, after shutdown() removed
+      // this watch.
+      (void)pool.post([this] { accept_burst(); });
+    } else {
+      route(tag);
     }
   }
 
-  /// Drains the whole accept backlog in one pass.
+  /// The accept task: drains the whole accept backlog, then re-arms.
   void accept_burst() {
+    std::scoped_lock accept_lock(accept_mutex);
     for (;;) {
       auto accepted = server.listener_->try_accept();
       if (!accepted.is_ok()) break;
@@ -101,20 +102,19 @@ struct Server::EventEngine {
       }
       PDC_OBS_COUNT("pdc.server.accepted");
       PDC_OBS_GAUGE_ADD("pdc.server.conns", 1);
-      // Registering after the shard insert: if data already arrived the
-      // watch signals immediately and route() finds the connection.
-      socket.watch(&ready_set, id);
+      // Registering after the shard insert (and outside its lock): if data
+      // already arrived the watch signals at once and route() queues it.
+      socket.watch(this, id);
     }
     server.listener_->rearm();
   }
 
+  /// Queues a ready connection on its shard; runs under the socket's
+  /// half mutex (see the lock order above).
   void route(std::uint64_t id) {
     Shard& shard = shard_of(id);
     {
       std::scoped_lock lock(shard.mutex);
-      // A tag can outlive its connection (closed while the tag sat in the
-      // ready queue); integers don't dangle, just drop it.
-      if (shard.conns.find(id) == shard.conns.end()) return;
       shard.ready.push_back(id);
       if (shard.inflight != nullptr) shard.inflight->add(1);
     }
@@ -134,26 +134,35 @@ struct Server::EventEngine {
 
   void drain(Shard& shard) {
     std::vector<std::uint64_t> batch;
+    std::vector<Conn*> conns;
     for (;;) {
       batch.clear();
+      conns.clear();
       {
+        // One lock hold per sweep: the dispatcher routes into this shard
+        // under the same mutex, so every extra hold can stall it.
         std::scoped_lock lock(shard.mutex);
+        if (shard.ready.empty()) {
+          shard.scheduled.store(false, std::memory_order_release);
+          return;
+        }
         batch.swap(shard.ready);
+        // unordered_map references are stable across other keys' inserts
+        // and erases, and these ids are only erased below, by this task.
+        // An id appears at most once per batch: its socket signals once
+        // per arm, and only this task re-arms it.
+        for (const std::uint64_t id : batch) {
+          const auto it = shard.conns.find(id);
+          conns.push_back(it != shard.conns.end() ? &it->second : nullptr);
+        }
       }
       PDC_OBS_HIST("pdc.server.shard_batch",
                    static_cast<std::uint64_t>(batch.size()));
-      if (shard.inflight != nullptr && !batch.empty()) {
+      if (shard.inflight != nullptr) {
         shard.inflight->sub(static_cast<std::int64_t>(batch.size()));
       }
-      for (const std::uint64_t id : batch) {
-        Conn* conn = nullptr;
-        {
-          std::scoped_lock lock(shard.mutex);
-          auto it = shard.conns.find(id);
-          // unordered_map references are stable across other keys'
-          // inserts/erases; this id is only erased below, by this task.
-          if (it != shard.conns.end()) conn = &it->second;
-        }
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        Conn* conn = conns[i];
         if (conn == nullptr) continue;
         if (process(*conn)) {
           conn->socket.rearm();
@@ -162,16 +171,9 @@ struct Server::EventEngine {
           conn->socket.close();
           {
             std::scoped_lock lock(shard.mutex);
-            shard.conns.erase(id);
+            shard.conns.erase(batch[i]);
           }
           PDC_OBS_GAUGE_SUB("pdc.server.conns", 1);
-        }
-      }
-      {
-        std::scoped_lock lock(shard.mutex);
-        if (shard.ready.empty()) {
-          shard.scheduled.store(false, std::memory_order_release);
-          return;
         }
       }
     }
@@ -233,19 +235,25 @@ struct Server::EventEngine {
     return sent;
   }
 
-  /// stop() path: called after the loop thread joined. Aborts every live
-  /// connection, then quiesces the pool so no drain task outlives us.
-  /// Every watch is removed first — the client half of a connection can
-  /// outlive this engine, and a late delivery must not signal a destroyed
-  /// ReadySet.
+  /// stop() path, after the listener was shut down. Removes every watch
+  /// — the client half of a connection can outlive this engine, and a late
+  /// delivery must not signal a destroyed watcher — aborts every live
+  /// connection, then quiesces the pool so no task outlives us.
   void shutdown() {
     server.listener_->unwatch();
+    // Wait out a running accept task; a later one sees server.stopping_
+    // and aborts what it accepts instead of registering it.
+    { std::scoped_lock barrier(accept_mutex); }
+    // Collect under the shard locks, unwatch and abort outside them: both
+    // take the sockets' half mutexes, which come first in the lock order.
+    std::vector<StreamSocket> live;
     for (auto& shard : shards) {
       std::scoped_lock lock(shard->mutex);
-      for (auto& [id, conn] : shard->conns) {
-        conn.socket.unwatch();
-        conn.socket.abort();
-      }
+      for (auto& [id, conn] : shard->conns) live.push_back(conn.socket);
+    }
+    for (auto& socket : live) {
+      socket.unwatch();
+      socket.abort();
     }
     pool.wait_idle();
     for (auto& shard : shards) {
@@ -257,12 +265,11 @@ struct Server::EventEngine {
   }
 
   Server& server;
-  ReadySet ready_set;
   parallel::ThreadPool pool;
   std::size_t shard_count;
   std::vector<std::unique_ptr<Shard>> shards;
-  std::uint64_t next_id = 1;  // acceptor thread only; 0 is the listener
-  std::atomic<bool> stopping{false};
+  std::mutex accept_mutex;
+  std::uint64_t next_id = 1;  // guarded by accept_mutex; 0 is the listener
 };
 
 // --------------------------------------------------------------------- Server
@@ -293,13 +300,7 @@ Server::Server(Network& net, int host, std::uint16_t port, Handler handler,
     PDC_CHECK(config_.workers >= 1);
     engine_ = std::make_unique<EventEngine>(*this);
   }
-  acceptor_ = std::thread([this] {
-    if (engine_) {
-      engine_->loop();
-    } else {
-      accept_loop();
-    }
-  });
+  if (engine_ == nullptr) acceptor_ = std::thread([this] { accept_loop(); });
 }
 
 Server::~Server() { stop(); }
@@ -325,9 +326,6 @@ void Server::stop() {
   listener_->shutdown();
 
   if (engine_) {
-    engine_->stopping.store(true, std::memory_order_release);
-    engine_->ready_set.wake();
-    if (acceptor_.joinable()) acceptor_.join();
     engine_->shutdown();
     return;
   }

@@ -9,12 +9,14 @@
 //  - kWorkerPool: a fixed pool pulls whole connections from a queue — one
 //    blocked connection holds one worker hostage, so concurrency is capped
 //    at the pool size;
-//  - kEventDriven: a readiness loop over the simulated fabric multiplexes
-//    every connection onto the work-stealing ThreadPool. Connections are
-//    sharded by id; each ready batch is drained by a task on the shard,
-//    frames are parsed zero-copy against the connection's receive buffer,
-//    and handler invocations run inline in the task. This is the model
-//    that holds 10^5..10^6 concurrent connections (see docs/serving.md).
+//  - kEventDriven: readiness on the simulated fabric multiplexes every
+//    connection onto the work-stealing ThreadPool, with no thread of its
+//    own: whichever thread makes a connection ready routes it into its
+//    shard. Connections are sharded by id; one task at a time drains a
+//    shard's ready connections, frames are parsed zero-copy against the
+//    connection's receive buffer, and handler invocations run inline in
+//    the task. This is the model that holds 10^5..10^6 concurrent
+//    connections (see docs/serving.md).
 //
 // The RPC layer adds named-procedure dispatch on top (the "middleware"
 // rung of the distributed-systems lecture).
@@ -56,7 +58,7 @@ using RawHandler = std::function<bool(const Bytes& request, StreamSocket& socket
 enum class ThreadingModel {
   kThreadPerConnection,  // classic: simple, unbounded threads
   kWorkerPool,           // fixed pool pulls connections from a queue
-  kEventDriven,          // readiness loop + sharded lock-free task pool
+  kEventDriven,          // readiness routed into shards of a task pool
 };
 
 struct ServerConfig {
@@ -119,7 +121,7 @@ class Server {
   concurrency::BoundedQueue<StreamSocket> pending_;  // worker-pool model
   std::vector<std::thread> workers_;
   std::unique_ptr<EventEngine> engine_;  // event-driven model
-  std::thread acceptor_;
+  std::thread acceptor_;                 // the other two models
   std::mutex conn_mutex_;
   std::vector<std::thread> conn_threads_;  // thread-per-connection model
   std::vector<StreamSocket> active_;       // for hard abort on stop()

@@ -185,19 +185,42 @@ support::Status TaskGraph::run(ThreadPool& pool) {
 
   struct RunState {
     std::vector<std::atomic<std::size_t>> remaining;
-    std::atomic<std::size_t> outstanding;
+    // Accepted posts not yet finished, plus one hold by run() itself while
+    // it posts the roots. Every task posts its ready successors before it
+    // counts itself out, so 0 means nothing more can run — whether every
+    // task ran or the pool refused some of them.
+    std::atomic<std::size_t> in_flight{1};
+    std::atomic<bool> refused{false};
     std::mutex mutex;
     std::condition_variable all_done;
     std::vector<TaskId> completion_order;
     std::exception_ptr first_error;
     std::function<void(TaskId)> execute;
-    explicit RunState(std::size_t n) : remaining(n), outstanding(n) {}
+    explicit RunState(std::size_t n) : remaining(n) {}
+
+    void finish_one() {
+      if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::scoped_lock lock(mutex);
+        all_done.notify_all();
+      }
+    }
   };
   auto state = std::make_shared<RunState>(tasks_.size());
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     state->remaining[i].store(tasks_[i].predecessor_count,
                               std::memory_order_relaxed);
   }
+
+  // Posts one ready task; false when the pool refused it (shut down). A
+  // refused task and everything behind it never runs.
+  const auto post = [&pool](const std::shared_ptr<RunState>& state,
+                            TaskId id) {
+    state->in_flight.fetch_add(1, std::memory_order_acq_rel);
+    if (pool.post([state, id] { state->execute(id); }).is_ok()) return true;
+    state->refused.store(true, std::memory_order_relaxed);
+    state->finish_one();
+    return false;
+  };
 
   // Each task, when finished, decrements its successors' counters and
   // schedules those that become ready — the standard dataflow execution.
@@ -207,7 +230,7 @@ support::Status TaskGraph::run(ThreadPool& pool) {
   // weakly to avoid an ownership cycle. The completion notify happens
   // under the lock: the waiter may destroy its reference the instant the
   // predicate holds, and the CV must not die mid-notify.
-  state->execute = [this, &pool,
+  state->execute = [this, post,
                     weak = std::weak_ptr<RunState>(state)](TaskId id) {
     auto state = weak.lock();
     PDC_CHECK(state != nullptr);
@@ -228,24 +251,22 @@ support::Status TaskGraph::run(ThreadPool& pool) {
     }
     for (TaskId next : task.successors) {
       if (state->remaining[next].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        pool.post([state, next] { state->execute(next); });
+        post(state, next);
       }
     }
-    if (state->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::scoped_lock lock(state->mutex);
-      state->all_done.notify_all();
-    }
+    state->finish_one();
   };
 
+  // Once a root is refused the pool is closed and refuses every later
+  // post too; what was accepted before still runs, so wait for that.
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].predecessor_count == 0) {
-      pool.post([state, i] { state->execute(i); });
-    }
+    if (tasks_[i].predecessor_count == 0 && !post(state, i)) break;
   }
+  state->finish_one();  // release run()'s own hold
 
   {
     const auto finished = [&] {
-      return state->outstanding.load(std::memory_order_acquire) == 0;
+      return state->in_flight.load(std::memory_order_acquire) == 0;
     };
     // A worker of this pool helps instead of blocking (the ready tasks
     // may sit in its own deque); other callers sleep on the CV.
@@ -255,6 +276,10 @@ support::Status TaskGraph::run(ThreadPool& pool) {
     completion_order_ = state->completion_order;
   }
   if (state->first_error) std::rethrow_exception(state->first_error);
+  if (state->refused.load(std::memory_order_relaxed)) {
+    return {support::StatusCode::kClosed,
+            "thread pool shut down before every task ran"};
+  }
   return support::Status::ok();
 }
 

@@ -61,6 +61,8 @@ class TaskGraph {
   /// Executes every task on `pool`, respecting dependencies; independent
   /// tasks run concurrently. Fails with kFailedPrecondition on a cyclic
   /// graph (nothing runs). Task exceptions propagate to the caller.
+  /// Returns kClosed when `pool` refused a task because it was shut down;
+  /// the tasks it had accepted still run, and run() returns after them.
   /// Callable from a task on `pool`: the caller helps run tasks while it
   /// waits.
   support::Status run(ThreadPool& pool);

@@ -1,7 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdint>
 
 #include "concurrency/backoff.hpp"
 #include "testkit/hooks.hpp"
@@ -13,7 +13,8 @@ thread_local std::size_t t_worker_index = SIZE_MAX;
 thread_local const ThreadPool* t_current_pool = nullptr;
 
 constexpr std::size_t kInjectCapacity = 1u << 12;
-constexpr auto kParkTimeout = std::chrono::milliseconds(1);
+// Empty scans a worker makes before it parks.
+constexpr std::uint32_t kIdleSpins = 32;
 // Max tasks claimed per steal sweep (further capped at half the victim's
 // backlog by ChaseLevDeque::steal_batch).
 constexpr std::size_t kStealBatch = 8;
@@ -51,7 +52,7 @@ support::Status ThreadPool::post(Task fn) {
   // an accepted post can never be stranded by racing shutdown.
   pending_.fetch_add(1, std::memory_order_seq_cst);
   if (closed_.load(std::memory_order_seq_cst)) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    finish_one();  // a quiescence waiter may have counted it
     return closed_status();
   }
   if (t_current_pool == this) {
@@ -74,7 +75,7 @@ support::Status ThreadPool::post(Task fn) {
     concurrency::Backoff backoff;
     while (!inject_.try_push(std::move(fn))) {
       if (closed_.load(std::memory_order_acquire)) {
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
+        finish_one();
         return closed_status();
       }
       PDC_OBS_COUNT("pdc.steal.inject_full");
@@ -98,13 +99,32 @@ void ThreadPool::shutdown() {
     std::scoped_lock lock(idle_mutex_);
     testkit::notify_all(idle_cv_);
   }
+  // Workers leave once the pool is closed and drained — including tasks an
+  // external helper is still running, whose finish_one() wakes them.
   for (auto& t : threads_) t.join();
 }
 
 bool ThreadPool::inside_worker() const { return t_current_pool == this; }
 
+bool ThreadPool::has_queued_work() const {
+  if (inject_.size_estimate() != 0) return true;
+  return std::any_of(workers_.begin(), workers_.end(), [](const auto& w) {
+    return w->deque.size_estimate() != 0;
+  });
+}
+
+bool ThreadPool::drained() const {
+  return closed_.load(std::memory_order_seq_cst) &&
+         pending_.load(std::memory_order_seq_cst) == 0;
+}
+
 void ThreadPool::wake_one() {
-  if (parked_.load(std::memory_order_acquire) == 0) return;
+  // The producer half of the park handshake (see worker_loop): the task
+  // is already in a queue; the fence orders that push before the parked_
+  // load, so a worker parking concurrently either sees the task or is
+  // seen here.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_relaxed) == 0) return;
   std::scoped_lock lock(idle_mutex_);
   testkit::notify_one(idle_cv_);
 }
@@ -185,14 +205,27 @@ bool ThreadPool::run_one(std::size_t self) {
     // wait_idle() or shutdown() releases may free what it captured.
     task.reset();
   }
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Quiescent: release wait_idle() and, after close, the exiting
-    // workers. Under the lock — the waiter may destroy the pool the
-    // instant the predicate holds.
-    std::scoped_lock lock(idle_mutex_);
-    testkit::notify_all(idle_cv_);
-  }
+  finish_one();
   return true;
+}
+
+void ThreadPool::finish_one() {
+  // The last task out releases whoever waits for it: quiescence waiters,
+  // and after close the parked workers, which may now leave. seq_cst pairs
+  // with a waiter raising quiescence_waiters_ (or with shutdown storing
+  // closed_) before it reads pending_, so the waiter is either seen here
+  // or sees 0 itself. Otherwise no lock is taken — parked workers sleep on
+  // a different CV and are not woken by completions.
+  if (pending_.fetch_sub(1, std::memory_order_seq_cst) != 1) return;
+  const bool closed = closed_.load(std::memory_order_seq_cst);
+  if (!closed && quiescence_waiters_.load(std::memory_order_seq_cst) == 0) {
+    return;
+  }
+  // Under the lock: the waiter may destroy the pool the instant the
+  // predicate holds.
+  std::scoped_lock lock(idle_mutex_);
+  testkit::notify_all(quiescent_cv_);
+  if (closed) testkit::notify_all(idle_cv_);
 }
 
 void ThreadPool::help_while(const std::function<bool()>& done) {
@@ -221,12 +254,17 @@ void ThreadPool::wait_idle() {
       backoff.step();
       continue;
     }
-    std::unique_lock lock(idle_mutex_);
-    testkit::wait_for(
-        lock, idle_cv_, kParkTimeout,
-        [&] { return pending_.load(std::memory_order_acquire) == 0; },
-        "pool.wait_idle.park");
-    backoff.reset();
+    // Last rung: park until finish_one() sees pending_ reach 0 with a
+    // waiter registered (the seq_cst pair described there).
+    quiescence_waiters_.fetch_add(1, std::memory_order_seq_cst);
+    {
+      std::unique_lock lock(idle_mutex_);
+      testkit::wait(
+          lock, quiescent_cv_,
+          [&] { return pending_.load(std::memory_order_seq_cst) == 0; },
+          "pool.wait_idle.park");
+    }
+    quiescence_waiters_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -242,43 +280,40 @@ void ThreadPool::worker_loop(std::size_t self) {
                                                      std::to_string(self));
     obs::Profiler::bind_current_thread(slot);
   }
-  concurrency::Backoff backoff;
+  // Spin, then park: no yield rungs. A worker that yields keeps getting
+  // rescheduled on an idle host and burns a core between requests.
+  concurrency::Backoff backoff(kIdleSpins, /*yield_limit=*/0);
   for (;;) {
     if (run_one(self)) {
       backoff.reset();
       continue;
     }
     // seq_cst pair with post(): see the handshake comment there.
-    if (closed_.load(std::memory_order_seq_cst) &&
-        pending_.load(std::memory_order_seq_cst) == 0) {
-      break;  // closed and drained
-    }
+    if (drained()) break;
     if (!backoff.park_ready()) {
       backoff.step();
       continue;
     }
-    // Bottom of the ladder: park on the idle CV. Re-check the wake
-    // predicate under the lock so a post between our last scan and the
-    // park cannot be lost; the timeout is the liveness backstop for the
-    // (unlocked) parked_ fast check in wake_one().
-    std::unique_lock lock(idle_mutex_);
-    if (closed_.load(std::memory_order_acquire) ||
-        pending_.load(std::memory_order_acquire) != 0) {
-      backoff.reset();
-      continue;
-    }
-    parked_.fetch_add(1, std::memory_order_release);
+    // Park handshake (Dekker): raise parked_, fence, then look at the
+    // queues in the wait predicate; a producer pushes its task, fences,
+    // then reads parked_ (wake_one). Either this worker sees the task, or
+    // the producer sees the parked worker and notifies under idle_mutex_,
+    // which the predicate check also holds — so the wait needs no timed
+    // backstop. A task a peer is running does not keep this worker awake:
+    // only queued work does. After close it also wakes to leave once the
+    // last task finished (finish_one).
+    parked_.fetch_add(1, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     PDC_OBS_GAUGE_ADD("pdc.steal.parked_workers", 1);
     if constexpr (obs::kObsEnabled) {
       slot->publish(obs::WorkerState::kParked);
     }
-    testkit::wait_for(
-        lock, idle_cv_, kParkTimeout,
-        [&] {
-          return closed_.load(std::memory_order_acquire) ||
-                 pending_.load(std::memory_order_acquire) != 0;
-        },
-        "pool.park");
+    {
+      std::unique_lock lock(idle_mutex_);
+      testkit::wait(
+          lock, idle_cv_, [&] { return drained() || has_queued_work(); },
+          "pool.park");
+    }
     if constexpr (obs::kObsEnabled) {
       slot->publish(obs::WorkerState::kIdle);
     }

@@ -13,8 +13,11 @@
 //  - task closures travel in parallel::Task (64-byte inline storage) held
 //    by per-worker TaskSlab nodes, so post/steal/run allocates nothing in
 //    steady state;
-//  - idle workers descend a spin → yield → park ladder; the park is a
-//    testkit-instrumented timed wait, so the SimScheduler can drive it.
+//  - a worker is idle when no task is *queued* anywhere, even while its
+//    peers run long tasks; idle workers spin briefly, then park on a
+//    testkit-instrumented wait, so the SimScheduler can drive it.
+//    wait_idle() waits for quiescence on a separate condition, so a
+//    finishing task never wakes parked workers.
 //
 // `help_while` lets a blocked parent execute other tasks instead of
 // idling — the work-first principle of Cilk-style schedulers — which is
@@ -98,9 +101,9 @@ class ThreadPool {
   /// Not callable from a worker of this pool (its own task never ends).
   void wait_idle();
 
-  /// Drains queued tasks and joins every worker. Idempotent; called by the
-  /// destructor. After shutdown, `submit` throws and `post` returns
-  /// kClosed.
+  /// Drains queued tasks (and waits for tasks external helpers still run),
+  /// then joins every worker. Idempotent; called by the destructor. After
+  /// shutdown, `submit` throws and `post` returns kClosed.
   void shutdown();
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
@@ -137,20 +140,37 @@ class ThreadPool {
   /// sources were observed empty.
   bool run_one(std::size_t self);
 
-  /// Wakes one parked worker if any (cheap relaxed check when none).
+  /// Wakes one parked worker if any; skips the lock when none is parked.
+  /// Call after pushing a task (the producer half of the park handshake,
+  /// see worker_loop).
   void wake_one();
+
+  /// True when some queue — injection or any worker's deque — looks
+  /// non-empty (racy sizes; exact enough for the park handshake).
+  [[nodiscard]] bool has_queued_work() const;
+
+  /// Closed and every accepted task finished: workers may leave.
+  [[nodiscard]] bool drained() const;
+
+  /// Counts one accepted task finished (or one post refused) and wakes
+  /// quiescence waiters when it was the last.
+  void finish_one();
 
   std::vector<std::unique_ptr<Worker>> workers_;
   concurrency::MpmcQueue<Task> inject_;
   std::vector<std::thread> threads_;
   std::atomic<bool> closed_{false};
+  /// Accepted tasks whose closure is not yet destroyed.
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> next_victim_{0};
   std::atomic<std::size_t> parked_{0};
+  /// wait_idle() callers parked (or about to park) on quiescent_cv_.
+  std::atomic<std::size_t> quiescence_waiters_{0};
   bool joined_ = false;
 
   std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
+  std::condition_variable idle_cv_;       // parked workers: work or drained
+  std::condition_variable quiescent_cv_;  // wait_idle(): pending_ == 0
 };
 
 /// The process-wide default pool, sized to hardware concurrency. Intended

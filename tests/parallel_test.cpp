@@ -400,6 +400,61 @@ TEST(TaskGraph, RunFromAWorkerOfItsOwnPoolCompletes) {
   }
 }
 
+/// Starts `graph.run(pool)` on a detached thread. The thread owns shared
+/// references, so a run that never returns leaks instead of hanging the
+/// suite; callers bound the wait with future::wait_for.
+std::future<pdc::support::Status> start_run(std::shared_ptr<TaskGraph> graph,
+                                            std::shared_ptr<ThreadPool> pool) {
+  std::promise<pdc::support::Status> promise;
+  auto result = promise.get_future();
+  std::thread([graph, pool, promise = std::move(promise)]() mutable {
+    promise.set_value(graph->run(*pool));
+  }).detach();
+  return result;
+}
+
+// A refused root or successor is reported as kClosed; run() must not wait
+// for tasks the pool will never run.
+TEST(TaskGraph, RunOnAShutDownPoolReturnsClosed) {
+  using pdc::support::StatusCode;
+  constexpr auto kDeadline = std::chrono::seconds(3);
+  {
+    auto pool = std::make_shared<ThreadPool>(2);
+    pool->shutdown();
+    auto graph = std::make_shared<TaskGraph>();
+    graph->add_dependency(graph->add_task("a"), graph->add_task("b"));
+    auto status = start_run(graph, pool);
+    ASSERT_EQ(status.wait_for(kDeadline), std::future_status::ready)
+        << "run on a shut-down pool never returned";
+    EXPECT_EQ(status.get().code(), StatusCode::kClosed);
+  }
+  {
+    // Shut down while the root runs: the root finishes, its successor is
+    // refused.
+    auto pool = std::make_shared<ThreadPool>(1);
+    auto started = std::make_shared<std::atomic<bool>>(false);
+    auto release = std::make_shared<std::atomic<bool>>(false);
+    auto ran = std::make_shared<std::atomic<int>>(0);
+    auto graph = std::make_shared<TaskGraph>();
+    const TaskId a = graph->add_task("a", 1.0, [=] {
+      *started = true;
+      while (!release->load()) std::this_thread::yield();
+      ++*ran;
+    });
+    graph->add_dependency(a, graph->add_task("b", 1.0, [=] { ++*ran; }));
+    auto status = start_run(graph, pool);
+    while (!started->load()) std::this_thread::yield();
+    std::thread closer([pool] { pool->shutdown(); });
+    while (pool->post([] {}).is_ok()) std::this_thread::yield();
+    *release = true;
+    closer.join();
+    ASSERT_EQ(status.wait_for(kDeadline), std::future_status::ready)
+        << "run with a refused successor never returned";
+    EXPECT_EQ(status.get().code(), StatusCode::kClosed);
+    EXPECT_EQ(ran->load(), 1);
+  }
+}
+
 TEST(ParallelReduce, SumMatchesSerial) {
   ThreadPool pool(4);
   const auto sum = parallel_reduce<long>(
@@ -768,6 +823,26 @@ TEST(ThreadPool, ParkedWorkersNeverExceedPoolSize) {
   EXPECT_EQ(count.load(), 64);
   // Workers may be parked (idle) or mid-ladder, but never more than exist.
   EXPECT_LE(pool.parked_workers(), pool.size());
+}
+
+// Idleness is about queued work, not running work: while one worker runs
+// a long task and nothing is queued, its peers park instead of spinning.
+TEST(ThreadPool, IdleWorkersParkWhileAPeerRunsALongTask) {
+  ThreadPool pool(4);
+  std::atomic<bool> started{false};
+  ASSERT_TRUE(pool.post([&started] {
+    started = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }).is_ok());
+  while (!started.load()) std::this_thread::yield();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  while (pool.parked_workers() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(pool.parked_workers(), 3u);
+  pool.wait_idle();
 }
 
 TEST(Task, MoveOnlyClosureRunsOnThePool) {

@@ -5,10 +5,13 @@
 // a telemetry scrape of the run's totals.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/loadgen.hpp"
@@ -204,6 +207,55 @@ TEST(ServerLoad, EventDrivenRawHandlerCanSuppressReplies) {
   EXPECT_EQ(reply.value(), "raw");
   client.close();
   server.stop();
+}
+
+// Stopping mid-flood races the fabric dispatcher (routing readiness into
+// shards under a socket's mutex), pool workers (re-arming drained
+// sockets) and the accept task. stop() collects sockets under the shard
+// locks and unwatches them outside, so it must neither deadlock nor wait
+// out the flood. A stop() that hangs leaks its objects rather than
+// hanging the suite.
+TEST(Server, EventDrivenStopRacingDeliveriesReturns) {
+  for (int round = 0; round < 20; ++round) {
+    auto net = std::make_unique<Network>(3, fast_net());
+    ServerConfig config;
+    config.model = ThreadingModel::kEventDriven;
+    config.workers = 2;
+    config.view_handler = [](BytesView request) { return request.to_owned(); };
+    auto server = std::make_unique<Server>(*net, 0, 80, nullptr, config);
+    LoadGenConfig load;
+    load.connections = 128;
+    load.requests = 20000;
+    load.duration_s = 0.2;
+    load.grace_s = 0.2;
+    load.first_client_host = 1;
+    load.client_hosts = 2;
+    std::thread flood([&net, &server, load] {
+      LoadGen gen(*net, server->address());
+      (void)gen.run(load);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server->requests_served() < 500 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    EXPECT_GE(server->requests_served(), 500u) << "round " << round;
+    std::promise<void> done;
+    auto stopped = done.get_future();
+    std::thread([raw = server.get(), done = std::move(done)]() mutable {
+      raw->stop();
+      done.set_value();
+    }).detach();
+    if (stopped.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      flood.detach();
+      (void)server.release();
+      (void)net.release();
+      FAIL() << "stop() did not return in round " << round;
+    }
+    flood.join();
+    server.reset();
+  }
 }
 
 }  // namespace

@@ -298,8 +298,9 @@ TEST(StressPool, PostsRacingShutdownAreOrderly) {
 
 // The fault-injected load test at a scale worth pointing TSan at: tens of
 // thousands of open-loop requests over thousands of connections exercise
-// every cross-thread edge at once — dispatcher -> ReadySet wakeups, shard
-// single-flight scheduling, batch steals re-homing tasks, and the
+// every cross-thread edge at once — dispatcher -> shard routing and
+// ReadySet wakeups, worker rearms, shard single-flight scheduling, worker
+// parks and wakes, batch steals re-homing tasks, and the
 // generator's driver threads (build with -DPDCKIT_SANITIZE=thread and
 // -DPDCKIT_STRESS=ON to run it under the race detector).
 TEST(StressServer, EventDrivenLoadWithFaultsConservesRequests) {
