@@ -190,7 +190,6 @@ support::Status TaskGraph::run(ThreadPool& pool) {
     // counts itself out, so 0 means nothing more can run — whether every
     // task ran or the pool refused some of them.
     std::atomic<std::size_t> in_flight{1};
-    std::atomic<bool> refused{false};
     std::mutex mutex;
     std::condition_variable all_done;
     std::vector<TaskId> completion_order;
@@ -217,7 +216,6 @@ support::Status TaskGraph::run(ThreadPool& pool) {
                             TaskId id) {
     state->in_flight.fetch_add(1, std::memory_order_acq_rel);
     if (pool.post([state, id] { state->execute(id); }).is_ok()) return true;
-    state->refused.store(true, std::memory_order_relaxed);
     state->finish_one();
     return false;
   };
@@ -276,7 +274,9 @@ support::Status TaskGraph::run(ThreadPool& pool) {
     completion_order_ = state->completion_order;
   }
   if (state->first_error) std::rethrow_exception(state->first_error);
-  if (state->refused.load(std::memory_order_relaxed)) {
+  // Every task that ran is in the completion order; a shorter order means
+  // the pool refused a root or a successor.
+  if (completion_order_.size() != tasks_.size()) {
     return {support::StatusCode::kClosed,
             "thread pool shut down before every task ran"};
   }

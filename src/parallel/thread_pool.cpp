@@ -120,13 +120,43 @@ bool ThreadPool::drained() const {
 
 void ThreadPool::wake_one() {
   // The producer half of the park handshake (see worker_loop): the task
-  // is already in a queue; the fence orders that push before the parked_
-  // load, so a worker parking concurrently either sees the task or is
-  // seen here.
+  // is already in a queue; the fence orders that push before the loads
+  // below, so a worker that stops searching or parks concurrently either
+  // sees the task in its post-fence scan or is seen here.
+  // parked_ first: in a busy pool it is 0 and its line rarely changes,
+  // while searching_ moves every time a worker runs dry.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (parked_.load(std::memory_order_relaxed) == 0) return;
-  std::scoped_lock lock(idle_mutex_);
-  testkit::notify_one(idle_cv_);
+  if (searching_.load(std::memory_order_relaxed) != 0) return;
+  // Claim the search for the worker we are about to wake, so later posts
+  // in the same burst skip the lock and the notify until it has looked.
+  std::size_t idle = 0;
+  if (!searching_.compare_exchange_strong(idle, 1, std::memory_order_seq_cst)) {
+    return;  // a worker started searching meanwhile
+  }
+  {
+    std::scoped_lock lock(idle_mutex_);
+    if (parked_.load(std::memory_order_relaxed) > wake_tokens_) {
+      ++wake_tokens_;
+      PDC_OBS_COUNT("pdc.steal.wakes");
+      testkit::notify_one(idle_cv_);
+      return;
+    }
+  }
+  // The parked worker left on its own before we got the lock: give the
+  // claim back the way a searcher that found work does.
+  stop_searching();
+}
+
+void ThreadPool::stop_searching() {
+  if (searching_.fetch_sub(1, std::memory_order_seq_cst) != 1) return;
+  // Last searcher out: a post that saw our unit skipped its wake, so look
+  // for queued work after the fence (the consumer half of the handshake)
+  // and pass the search on. With nobody parked there is no one to pass it
+  // to: every worker scans again before it parks.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_relaxed) == 0) return;
+  if (has_queued_work()) wake_one();
 }
 
 bool ThreadPool::try_take(std::size_t self, Task& out) {
@@ -194,6 +224,11 @@ bool ThreadPool::try_take(std::size_t self, Task& out) {
 bool ThreadPool::run_one(std::size_t self) {
   Task task;
   if (!try_take(self, task)) return false;
+  run_task(task);
+  return true;
+}
+
+void ThreadPool::run_task(Task& task) {
   PDC_OBS_COUNT("pdc.steal.run");
   {
     // The per-task store pair: running before, the saved word after
@@ -206,7 +241,6 @@ bool ThreadPool::run_one(std::size_t self) {
     task.reset();
   }
   finish_one();
-  return true;
 }
 
 void ThreadPool::finish_one() {
@@ -283,25 +317,42 @@ void ThreadPool::worker_loop(std::size_t self) {
   // Spin, then park: no yield rungs. A worker that yields keeps getting
   // rescheduled on an idle host and burns a core between requests.
   concurrency::Backoff backoff(kIdleSpins, /*yield_limit=*/0);
+  // Whether this worker holds a unit of searching_: from its first empty
+  // scan until it takes a task or parks, and from a wake until it has
+  // looked (see wake_one).
+  bool searching = false;
   for (;;) {
-    if (run_one(self)) {
+    Task task;
+    if (try_take(self, task)) {
+      if (searching) {
+        searching = false;
+        stop_searching();
+      }
+      run_task(task);
       backoff.reset();
       continue;
     }
     // seq_cst pair with post(): see the handshake comment there.
     if (drained()) break;
+    if (!searching) {
+      searching = true;
+      searching_.fetch_add(1, std::memory_order_seq_cst);
+    }
     if (!backoff.park_ready()) {
       backoff.step();
       continue;
     }
-    // Park handshake (Dekker): raise parked_, fence, then look at the
-    // queues in the wait predicate; a producer pushes its task, fences,
-    // then reads parked_ (wake_one). Either this worker sees the task, or
-    // the producer sees the parked worker and notifies under idle_mutex_,
-    // which the predicate check also holds — so the wait needs no timed
-    // backstop. A task a peer is running does not keep this worker awake:
-    // only queued work does. After close it also wakes to leave once the
-    // last task finished (finish_one).
+    // Park handshake (Dekker): stop searching, raise parked_, fence, then
+    // look at the queues in the wait predicate; a producer pushes its
+    // task, fences, then reads parked_ and searching_ (wake_one). Either
+    // this worker sees the task, or the producer sees it searching or
+    // parked and wakes a worker under idle_mutex_, which the predicate
+    // check also holds — so the wait needs no timed backstop. A task a
+    // peer is running does not keep this worker awake: only queued work
+    // does. After close it also wakes to leave once the last task
+    // finished (finish_one).
+    searching = false;
+    searching_.fetch_sub(1, std::memory_order_seq_cst);
     parked_.fetch_add(1, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     PDC_OBS_GAUGE_ADD("pdc.steal.parked_workers", 1);
@@ -311,13 +362,23 @@ void ThreadPool::worker_loop(std::size_t self) {
     {
       std::unique_lock lock(idle_mutex_);
       testkit::wait(
-          lock, idle_cv_, [&] { return drained() || has_queued_work(); },
+          lock, idle_cv_,
+          [&] { return wake_tokens_ != 0 || drained() || has_queued_work(); },
           "pool.park");
+      // Leave under the lock, so wake_one never hands a wake to a worker
+      // that is already gone. A handed wake carries its searching unit;
+      // without one the worker takes its own.
+      parked_.fetch_sub(1, std::memory_order_relaxed);
+      if (wake_tokens_ != 0) {
+        --wake_tokens_;
+      } else {
+        searching_.fetch_add(1, std::memory_order_seq_cst);
+      }
+      searching = true;
     }
     if constexpr (obs::kObsEnabled) {
       slot->publish(obs::WorkerState::kIdle);
     }
-    parked_.fetch_sub(1, std::memory_order_release);
     PDC_OBS_GAUGE_SUB("pdc.steal.parked_workers", 1);
     backoff.reset();
   }

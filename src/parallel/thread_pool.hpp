@@ -15,7 +15,9 @@
 //    steady state;
 //  - a worker is idle when no task is *queued* anywhere, even while its
 //    peers run long tasks; idle workers spin briefly, then park on a
-//    testkit-instrumented wait, so the SimScheduler can drive it.
+//    testkit-instrumented wait, so the SimScheduler can drive it. A post
+//    wakes a parked worker only when no worker is already searching, so a
+//    burst of forks costs one wake, not one per fork.
 //    wait_idle() waits for quiescence on a separate condition, so a
 //    finishing task never wakes parked workers.
 //
@@ -140,10 +142,19 @@ class ThreadPool {
   /// sources were observed empty.
   bool run_one(std::size_t self);
 
-  /// Wakes one parked worker if any; skips the lock when none is parked.
+  /// Runs a taken task and counts it finished.
+  void run_task(Task& task);
+
+  /// Wakes one parked worker unless a worker is already searching (or was
+  /// woken and has not searched yet); skips the lock when none is parked.
   /// Call after pushing a task (the producer half of the park handshake,
   /// see worker_loop).
   void wake_one();
+
+  /// Gives back a searching worker's unit of searching_ once it has found
+  /// work. The last searcher out passes the search on (wake_one) when more
+  /// work is queued, so a burst wakes workers one at a time.
+  void stop_searching();
 
   /// True when some queue — injection or any worker's deque — looks
   /// non-empty (racy sizes; exact enough for the park handshake).
@@ -164,11 +175,19 @@ class ThreadPool {
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> next_victim_{0};
   std::atomic<std::size_t> parked_{0};
+  /// Workers looking for work outside the park, plus wakes handed out and
+  /// not yet taken up (wake_tokens_). While it is non-zero a post wakes
+  /// nobody: a searcher will find the task. On its own line: it changes
+  /// whenever a worker runs dry, and every post reads parked_.
+  alignas(64) std::atomic<std::size_t> searching_{0};
   /// wait_idle() callers parked (or about to park) on quiescent_cv_.
   std::atomic<std::size_t> quiescence_waiters_{0};
   bool joined_ = false;
 
   std::mutex idle_mutex_;
+  /// Wakes handed to parked workers, each carrying one unit of searching_
+  /// to the worker that takes it. Guarded by idle_mutex_.
+  std::size_t wake_tokens_ = 0;
   std::condition_variable idle_cv_;       // parked workers: work or drained
   std::condition_variable quiescent_cv_;  // wait_idle(): pending_ == 0
 };

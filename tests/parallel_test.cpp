@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -843,6 +844,34 @@ TEST(ThreadPool, IdleWorkersParkWhileAPeerRunsALongTask) {
   }
   EXPECT_EQ(pool.parked_workers(), 3u);
   pool.wait_idle();
+}
+
+// A burst of forks into a pool whose peers are parked wakes them one at a
+// time: while a woken worker has not looked yet, further posts skip the
+// notify. Without that rule every fork paid a futex wake.
+TEST(ThreadPool, ForkBurstWakesParkedPeersOnce) {
+  if (!pdc::obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  auto& wakes =
+      pdc::obs::MetricsRegistry::instance().counter("pdc.steal.wakes");
+  ThreadPool pool(4);
+  constexpr int kForks = 2000;
+  std::atomic<int> ran{0};
+  std::atomic<std::uint64_t> wakes_before{0};
+  ASSERT_TRUE(pool.post([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (pool.parked_workers() < 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    wakes_before = wakes.total();
+    for (int i = 0; i < kForks; ++i) {
+      ASSERT_TRUE(pool.post([&ran] { ran.fetch_add(1); }).is_ok());
+    }
+  }).is_ok());
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), kForks);
+  EXPECT_LT(wakes.total() - wakes_before.load(), std::uint64_t{kForks / 20});
 }
 
 TEST(Task, MoveOnlyClosureRunsOnThePool) {
